@@ -1,7 +1,7 @@
 """Content-addressed on-disk cache for count tables.
 
 Keys are hashes of (algorithm version, bracket, n_max), so any change to the
-dynamic program invalidates stale entries.  Writes go through a temp file
+counting kernel invalidates stale entries.  Writes go through a temp file
 and an atomic rename; concurrent readers are safe and the last writer for a
 key wins with a complete file either way.
 """
@@ -44,12 +44,17 @@ class CountCache:
             data = json.loads(path.read_text("utf-8"))
         except (OSError, ValueError):
             return None
+        # Anything but a well-formed entry for this key is a miss.
+        if not isinstance(data, dict):
+            return None
         if data.get("bracket") != list(wv.bracket) or data.get("n_max") != n_max:
             return None
         counts = data.get("counts")
         if not isinstance(counts, list) or len(counts) != n_max:
             return None
-        return CountTable(n_max, tuple(int(c) for c in counts))
+        if not all(type(c) is int and c >= 0 for c in counts):
+            return None
+        return CountTable(n_max, tuple(counts))
 
     def store(self, wv: WeightVector, n_max: int, table: CountTable) -> None:
         path = self._path(wv, n_max)

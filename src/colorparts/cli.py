@@ -14,6 +14,7 @@ from typing import Optional
 
 import click
 
+from . import __version__
 from .cache import CountCache, cached_count
 from .congruence import ResidueSpecError, parse_residue_spec, residue_class_text
 from .counting import dimension
@@ -89,7 +90,7 @@ n_option = click.option("-N", "n_max", type=int, required=True, help="Top degree
 
 
 @click.group()
-@click.version_option(package_name="colorparts")
+@click.version_option(version=__version__)
 def main():
     """Count admissible colored partitions on staircase arrays and check
     them against periodic product formulas."""

@@ -18,6 +18,7 @@ plain integer addition of exponents.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -155,6 +156,13 @@ class PeriodicProduct:
             raise ValueError("need one exponent per residue class")
         object.__setattr__(self, "residue_exponents", exps)
         object.__setattr__(self, "plus_factors", tuple(self.plus_factors))
+
+    @property
+    def period(self) -> int:
+        """Period of the factor exponents in j: the lcm of the modulus, 2 if
+        the odd-j factor is present, and every plus-factor modulus."""
+        moduli = [pf.modulus for pf in self.plus_factors]
+        return math.lcm(self.modulus, 2 if self.global_odd else 1, *moduli)
 
     def effective_exponent(self, j: int) -> int:
         """Exponent of the factor (1 - q^j), globals included."""

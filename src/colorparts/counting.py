@@ -1,10 +1,13 @@
 """Counting admissible colored partitions.
 
-The fast path is a row-by-row dynamic program over merged (total, maxima)
-states with big-integer multiplicities; a brute-force enumerator filtered by
-explicit path checking serves as the independent oracle, and a triangular
-variant counts admissible matrices confined to the prescribed staircase
-region (finite-dimensional module dimensions).
+One kernel, :func:`_sweep_row`, advances running path maxima across a
+diagonal row one cell at a time (the transfer-matrix method with a moving
+frontier).  :func:`count_admissible` runs it with each state's coefficients
+packed into one int, a fixed number of bits per total (Kronecker
+substitution), so shifting and adding whole polynomials is big-integer
+arithmetic; :func:`dimension` and :func:`prefix_pair_counts` run it with
+plain multiplicities.  A brute-force enumerator filtered by explicit path
+checking serves as the independent oracle and shares no code with the kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from .lattice import (
     row_parts,
     row_template,
 )
-from .qseries import Series
+from .congruence import PeriodicProduct
+from .qseries import Series, expand
 
 __all__ = [
     "ALGORITHM_VERSION",
@@ -33,8 +37,8 @@ __all__ = [
     "prefix_pair_counts",
 ]
 
-# Bump when the DP changes in any way that could alter cached tables.
-ALGORITHM_VERSION = "dp-1"
+# Bump when the kernel changes in any way that could alter cached tables.
+ALGORITHM_VERSION = "frontier-1"
 
 
 @dataclass(frozen=True)
@@ -62,105 +66,84 @@ class CountTable:
         return Series((1,) + self.counts)
 
 
-def _row_transitions(
-    prev: tuple[int, ...], level: int, template: Sequence[Optional[int]]
-) -> list[tuple[int, int, tuple[int, ...]]]:
-    """All admissible rows on top of maxima ``prev``.
+def _sweep_row(
+    states: dict[tuple[int, ...], int],
+    i: int,
+    level: int,
+    template: Sequence[Optional[int]],
+    bits: int = 0,
+    mask: int = -1,
+) -> dict[tuple[int, ...], int]:
+    """Advance ``{maxima: weight}`` across diagonal row i one cell at a time.
 
-    Returns (parts, weighted, maxima) triples where ``parts`` is the total
-    free multiplicity and ``weighted`` its column-weighted sum; the mass the
-    row adds at diagonal i is then 2*i*parts - weighted.  Enumerating free
-    values only up to the per-column headroom visits exactly the rows that
-    survive :func:`maxima_step`.
+    The frontier key after column t is (base, m_1..m_t, prev_{t+1}..prev_w)
+    with base = max(m_t, prev_t), the floor of m_{t+1}.  A free cell takes
+    every m in base..level, each unit of frequency shifting the weight by its
+    part 2i - t limbs of ``bits`` bits; a prescribed cell (part 0) takes
+    m = base + k alone, if that stays within the level.  With ``bits`` = 0
+    weights are plain multiplicities; otherwise each packs one coefficient
+    per total, and ``mask`` drops totals past the top degree.
     """
-    w = len(prev)
-    out: list[tuple[int, int, tuple[int, ...]]] = []
-    maxima = [0] * w
-
-    def descend(t: int, parts: int, weighted: int) -> None:
-        if t == w:
-            out.append((parts, weighted, tuple(maxima)))
-            return
-        if t:
-            base = maxima[t - 1]
-            if prev[t - 1] > base:
-                base = prev[t - 1]
-        else:
-            base = 0
-        fixed = template[t]
-        if fixed is None:
-            maxima[t] = base
-            descend(t + 1, parts, weighted)
-            for f in range(1, level - base + 1):
-                maxima[t] = base + f
-                descend(t + 1, parts + f, weighted + (t + 1) * f)
-        else:
-            value = base + fixed
-            if value <= level:
-                maxima[t] = value
-                descend(t + 1, parts, weighted)
-
-    descend(0, 0, 0)
+    frontier = {(0,) + prev: weight for prev, weight in states.items()}
+    for t, fixed in enumerate(template, start=1):
+        shift = (2 * i - t) * bits
+        grown: dict[tuple[int, ...], int] = {}
+        for key, weight in frontier.items():
+            base, prev, head, tail = key[0], key[t], key[1:t], key[t + 1 :]
+            if fixed is not None:
+                m = base + fixed
+                if m <= level:
+                    nxt = (m if m > prev else prev,) + head + (m,) + tail
+                    grown[nxt] = grown.get(nxt, 0) + weight
+                continue
+            for m in range(base, level + 1):
+                nxt = (m if m > prev else prev,) + head + (m,) + tail
+                grown[nxt] = grown.get(nxt, 0) + weight
+                weight = (weight << shift) & mask
+                if not weight:
+                    break
+        frontier = grown
+    out: dict[tuple[int, ...], int] = {}
+    for key, weight in frontier.items():
+        out[key[1:]] = out.get(key[1:], 0) + weight
     return out
 
 
 def count_admissible(wv: WeightVector, n_max: int) -> CountTable:
-    """Exact P(1..n_max) by the merged-state dynamic program.
+    """Exact P(1..n_max) by the frontier sweep with packed coefficients.
 
-    States are (total, maxima) pairs with multiplicities; identical states
-    are merged by summing.  A state retires into the tally once even the
-    smallest part of the next row would push it past n_max, and the run stops
-    when that is true of every state.
+    Each state packs its coefficients (total -> multiplicity) into one int,
+    ``bits`` bits per total.  After each row, totals that even the smallest
+    part of the next row would push past n_max retire into the tally, and
+    the run stops once every state has retired.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     w = wv.width
-    level = wv.k_total
-    counts = [0] * (n_max + 1)
-    # maxima -> {total: multiplicity}
-    states: dict[tuple[int, ...], dict[int, int]] = {initial_maxima(wv): {0: 1}}
-    uniform_cache: dict[tuple[int, ...], list] = {}
-    free_template = (None,) * w
-
+    # Admissible prefixes of total n embed into colored partitions of n with
+    # #{j <= w : j = v mod 2} colours for part v, so no coefficient outgrows
+    # the largest of those counts.
+    colored = expand(PeriodicProduct(2, (-(w // 2), -((w + 1) // 2))), n_max)
+    bits = max(colored.coeffs).bit_length()
+    mask = (1 << (n_max + 1) * bits) - 1
+    states = {initial_maxima(wv): 1}
+    tally = 0
     i = 0
     while states:
         i += 1
-        if 2 * i - 1 >= w:
-            template = free_template
-            cache = uniform_cache
-        else:
-            template = row_template(i, wv)
-            cache = {}
-        new_states: dict[tuple[int, ...], dict[int, int]] = {}
-        for prev, totals in states.items():
-            transitions = cache.get(prev)
-            if transitions is None:
-                transitions = _row_transitions(prev, level, template)
-                cache[prev] = transitions
-            budget = n_max - min(totals)
-            for parts, weighted, nxt in transitions:
-                mass = 2 * i * parts - weighted
-                if mass > budget:
-                    continue
-                bucket = new_states.setdefault(nxt, {})
-                for total, mult in totals.items():
-                    shifted = total + mass
-                    if shifted <= n_max:
-                        bucket[shifted] = bucket.get(shifted, 0) + mult
-        # Retire states the next row can no longer grow within n_max.
+        states = _sweep_row(states, i, wv.k_total, row_template(i, wv), bits, mask)
         min_next = max(0, 2 * (i + 1) - w)
-        states = {}
-        for maxima, totals in new_states.items():
-            keep: dict[int, int] = {}
-            for total, mult in totals.items():
-                if total + min_next > n_max:
-                    if total:
-                        counts[total] += mult
-                else:
-                    keep[total] = mult
-            if keep:
-                states[maxima] = keep
-    return CountTable(n_max, tuple(counts[1:]))
+        low = (1 << max(0, n_max + 1 - min_next) * bits) - 1
+        kept = {}
+        for maxima, weight in states.items():
+            tally += weight & ~low
+            if weight & low:
+                kept[maxima] = weight & low
+        states = kept
+    limb = (1 << bits) - 1
+    return CountTable(
+        n_max, tuple((tally >> n * bits) & limb for n in range(1, n_max + 1))
+    )
 
 
 def brute_force_count(
@@ -233,33 +216,6 @@ def _free_fillings(template, level):
     return out
 
 
-def _count_row_fillings(
-    prev: tuple[int, ...], level: int, template: Sequence[Optional[int]]
-) -> int:
-    """Number of admissible rows on top of ``prev`` (column-wise count DP)."""
-    ways: dict[int, int] = {}
-    first = template[0]
-    if first is None:
-        for v in range(level + 1):
-            ways[v] = 1
-    elif first <= level:
-        ways[first] = 1
-    for t in range(1, len(prev)):
-        fixed = template[t]
-        nxt: dict[int, int] = {}
-        for v, cnt in ways.items():
-            base = prev[t - 1] if prev[t - 1] > v else v
-            if fixed is None:
-                for value in range(base, level + 1):
-                    nxt[value] = nxt.get(value, 0) + cnt
-            else:
-                value = base + fixed
-                if value <= level:
-                    nxt[value] = nxt.get(value, 0) + cnt
-        ways = nxt
-    return sum(ways.values())
-
-
 def dimension(weights: Sequence[int]) -> int:
     """Admissible matrices confined to the triangular prescribed region.
 
@@ -279,23 +235,10 @@ def dimension(weights: Sequence[int]) -> int:
     for t, value in enumerate(ks):
         bracket[2 * t + 2] = value
     wv = WeightVector(tuple(bracket))
-    level = wv.k_total
-    states: dict[tuple[int, ...], int] = {initial_maxima(wv): 1}
+    states = {initial_maxima(wv): 1}
     for i in range(1, rank + 1):
-        template = row_template(i, wv)
-        if i < rank:
-            new_states: dict[tuple[int, ...], int] = {}
-            for prev, mult in states.items():
-                for _, _, nxt in _row_transitions(prev, level, template):
-                    new_states[nxt] = new_states.get(nxt, 0) + mult
-            states = new_states
-        else:
-            # Only the count of final-row fillings matters.
-            return sum(
-                mult * _count_row_fillings(prev, level, template)
-                for prev, mult in states.items()
-            )
-    raise AssertionError("unreachable")
+        states = _sweep_row(states, i, wv.k_total, row_template(i, wv))
+    return sum(states.values())
 
 
 def prefix_pair_counts(
@@ -303,7 +246,7 @@ def prefix_pair_counts(
 ) -> list[int]:
     """Admissible prefixes after each of the first ``rows`` diagonal rows.
 
-    No bound is placed on partition mass.  With ``merged`` the DP sums
+    No bound is placed on partition mass.  With ``merged`` the kernel sums
     multiplicities over merged states; otherwise the (total, maxima) pairs
     are kept as a flat list, replaying the unmerged construction.  The two
     agree entry by entry, which is the conservation diagnostic.
@@ -313,14 +256,9 @@ def prefix_pair_counts(
     level = wv.k_total
     out: list[int] = []
     if merged:
-        states: dict[tuple[int, ...], int] = {initial_maxima(wv): 1}
+        states = {initial_maxima(wv): 1}
         for i in range(1, rows + 1):
-            template = row_template(i, wv)
-            new_states: dict[tuple[int, ...], int] = {}
-            for prev, mult in states.items():
-                for _, _, nxt in _row_transitions(prev, level, template):
-                    new_states[nxt] = new_states.get(nxt, 0) + mult
-            states = new_states
+            states = _sweep_row(states, i, level, row_template(i, wv))
             out.append(sum(states.values()))
     else:
         pairs: list[tuple[int, tuple[int, ...]]] = [(0, initial_maxima(wv))]

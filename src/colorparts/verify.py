@@ -8,6 +8,7 @@ when asked, in a fixed deterministic order.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,8 +34,8 @@ __all__ = [
 
 STATUS_VERIFIED = "verified"
 STATUS_MISMATCH = "mismatch"
-# Coefficients agree but N is smaller than the product's modulus, so not one
-# full residue period has been observed.
+# Coefficients agree but N is smaller than the product's period (see
+# PeriodicProduct.period), so not every factor has shown one full period.
 STATUS_INSUFFICIENT = "insufficient-N"
 
 
@@ -122,7 +123,7 @@ def verify_weight(
             break
     if first_mismatch is not None:
         status = STATUS_MISMATCH
-    elif n_max < product.modulus:
+    elif n_max < product.period:
         status = STATUS_INSUFFICIENT
     else:
         status = STATUS_VERIFIED
@@ -198,8 +199,11 @@ def run_sweep(
         (width, sugar, n_max, cache_dir)
         for sugar in sweep_weights(width, k_total)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The fork start method launches every worker up front, so never ask
+    # for more workers than tasks or cores.
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_task, tasks))
     return [_sweep_task(task) for task in tasks]
 

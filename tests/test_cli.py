@@ -2,11 +2,18 @@ import json
 
 from click.testing import CliRunner
 
+from colorparts import __version__
 from colorparts.cli import main
 
 
 def run(*args, env=None):
     return CliRunner().invoke(main, list(args), env=env)
+
+
+def test_version_without_installed_package():
+    result = run("--version")
+    assert result.exit_code == 0
+    assert result.output.endswith(f"version {__version__}\n")
 
 
 class TestCount:
@@ -73,6 +80,14 @@ class TestVerify:
     def test_under_sampled_period_exit_one(self):
         # degree below the product modulus: agreement alone is not "verified"
         result = run("verify", "--even", "2,1,0,0,1", "-N", "10", "--auto")
+        assert result.exit_code == 1
+        assert "status = insufficient-N" in result.output
+
+    def test_plus_factor_period_not_reached_exit_one(self):
+        # the (1+q^21) factor is never compared below N = 30
+        result = run(
+            "verify", "--even", "0,1", "-N", "20", "--spec", "1,4 mod 5 [(+21 mod 30)]"
+        )
         assert result.exit_code == 1
         assert "status = insufficient-N" in result.output
 

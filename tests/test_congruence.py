@@ -226,6 +226,17 @@ class TestPeriodicProduct:
         # fine when the odd global is absent
         assert PeriodicProduct(5, (0,) * 5).net_residue_exponents() == (0,) * 5
 
+    def test_period_covers_every_factor(self):
+        assert PeriodicProduct(5, (0,) * 5).period == 5
+        assert PeriodicProduct(5, (0,) * 5, global_odd=-1).period == 10
+        assert PeriodicProduct(10, (0,) * 10, global_odd=-1).period == 10
+        assert parse_residue_spec("1,4 mod 5 [(+21 mod 30)]").period == 30
+        assert parse_residue_spec("odd; 1 mod 3 [(+1 mod 4)]").period == 12
+
+    def test_auto_products_have_period_equal_to_modulus(self):
+        for product in (lepowsky_product((2, 1, 0)), even_width_product((2, 1, 0, 0, 1))):
+            assert product.period == product.modulus
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PeriodicProduct(0, ())

@@ -1,6 +1,7 @@
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorparts import (
     CountTable,
@@ -8,6 +9,8 @@ from colorparts import (
     brute_force_count,
     count_admissible,
     dimension,
+    expand,
+    parse_residue_spec,
     prefix_pair_counts,
 )
 
@@ -100,6 +103,29 @@ class TestOracleSweep:
                 ), bracket
 
 
+@st.composite
+def small_brackets(draw):
+    """Width 2..5, level 1..3: each drawn slot adds one unit of level."""
+    width = draw(st.integers(2, 5))
+    slots = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=3))
+    return WeightVector(tuple(slots.count(t) for t in range(width)))
+
+
+class TestKernelProperties:
+    @settings(deadline=None)
+    @given(wv=small_brackets(), n_max=st.integers(1, 10))
+    def test_kernel_equals_oracle(self, wv, n_max):
+        assert count_admissible(wv, n_max) == brute_force_count(wv, n_max)
+
+    @pytest.mark.parametrize(
+        "bracket,spec", [((0, 1), "1,4 mod 5"), ((1, 0), "2,3 mod 5")]
+    )
+    def test_packed_limbs_hold_at_large_degree(self, bracket, spec):
+        table = count_admissible(WeightVector(bracket), 300)
+        series = expand(parse_residue_spec(spec), 300)
+        assert table.counts == series.coeffs[1:]
+
+
 class TestReversal:
     @pytest.mark.parametrize(
         "ks",
@@ -136,6 +162,12 @@ class TestDimension:
     )
     def test_rank_four_values(self, ks, expected):
         assert dimension(ks) == expected
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_uniform_weights_regression(self, k, rank):
+        # observed, not a claimed theorem
+        assert dimension((k,) * rank) == (k + 1) ** (rank * rank)
 
     def test_rank_one_counts_single_cell(self):
         for k in range(1, 6):

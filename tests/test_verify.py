@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from colorparts import (
@@ -176,6 +178,30 @@ class TestSweep:
         assert [r.sugar for r in reports] == ["(0,1,0)", "(1,0,0)"]
         assert all(r.status == STATUS_VERIFIED for r in reports)
 
+    def test_pool_size_is_clamped(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("colorparts.verify.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("colorparts.verify.os.cpu_count", lambda: 4)
+        reports = run_sweep(2, 2, 10, jobs=10_000)  # 3 weights
+        assert sizes == [3]
+        assert [r.status for r in reports] == [STATUS_VERIFIED] * 3
+        run_sweep(4, 2, 10, jobs=10_000)  # 6 weights
+        assert sizes == [3, 4]
+
     def test_parallel_matches_serial(self):
         serial = run_sweep(2, 2, 15)
         parallel = run_sweep(2, 2, 15, jobs=2)
@@ -234,6 +260,27 @@ class TestCache:
         entry.write_text("not json")
         again = cached_count(wv, 10, cache)
         assert again.counts == count_admissible(wv, 10).counts
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {"counts": ["x", 1, 1]},
+            {"counts": [1, None, 1]},
+            {"counts": [1.5, -3, True]},
+        ],
+    )
+    def test_malformed_entries_are_misses(self, tmp_path, payload):
+        cache = CountCache(tmp_path)
+        wv = WeightVector((0, 1))
+        cached_count(wv, 3, cache)
+        entry = next(tmp_path.iterdir())
+        if isinstance(payload, dict):
+            payload = {"bracket": [0, 1], "n_max": 3, **payload}
+        entry.write_text(json.dumps(payload))
+        assert cache.load(wv, 3) is None
+        assert cached_count(wv, 3, cache).counts == (1, 1, 1)
+        assert json.loads(entry.read_text())["counts"] == [1, 1, 1]
 
     def test_verify_with_cache_matches_without(self, tmp_path):
         wv = WeightVector.from_even((2, 0))
