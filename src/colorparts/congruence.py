@@ -24,6 +24,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .lattice import _int_tuple
+
 __all__ = [
     "Scheme",
     "CongruenceTriangle",
@@ -37,16 +39,6 @@ __all__ = [
     "parse_residue_spec",
     "residue_class_text",
 ]
-
-
-def _int_tuple(values: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for x in values:
-        value = int(x)
-        if value != x:
-            raise ValueError(f"entries must be integers, got {x!r}")
-        out.append(value)
-    return tuple(out)
 
 
 def _checked_seed(seed: Sequence[int]) -> tuple[int, ...]:

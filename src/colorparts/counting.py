@@ -5,9 +5,10 @@ diagonal row one cell at a time (the transfer-matrix method with a moving
 frontier).  :func:`count_admissible` runs it with each state's coefficients
 packed into one int, a fixed number of bits per total (Kronecker
 substitution), so shifting and adding whole polynomials is big-integer
-arithmetic; :func:`dimension` and :func:`prefix_pair_counts` run it with
-plain multiplicities.  A brute-force enumerator filtered by explicit path
-checking serves as the independent oracle and shares no code with the kernel.
+arithmetic; :func:`prefix_pair_counts`, and through it :func:`dimension`,
+runs it with plain multiplicities and sweeps the last row as a running
+total.  A brute-force enumerator filtered by explicit path checking serves
+as the independent oracle and shares no code with the kernel.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ class CountTable:
     def __post_init__(self) -> None:
         if self.n_max < 1 or len(self.counts) != self.n_max:
             raise ValueError("need one count per 1 <= n <= n_max")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        if not all(type(c) is int and c >= 0 for c in self.counts):
+            raise ValueError("counts must be nonnegative integers")
+        object.__setattr__(self, "counts", tuple(self.counts))
 
     def __getitem__(self, n: int) -> int:
         if not 1 <= n <= self.n_max:
@@ -73,6 +76,7 @@ def _sweep_row(
     template: Sequence[Optional[int]],
     bits: int = 0,
     mask: int = -1,
+    final: bool = False,
 ) -> dict[tuple[int, ...], int]:
     """Advance ``{maxima: weight}`` across diagonal row i one cell at a time.
 
@@ -83,21 +87,30 @@ def _sweep_row(
     m = base + k alone, if that stays within the level.  With ``bits`` = 0
     weights are plain multiplicities; otherwise each packs one coefficient
     per total, and ``mask`` drops totals past the top degree.
+
+    With ``final`` the row is the last one read, so its maxima are never
+    keys again: m_t leaves the key once placed, the key after column t is
+    (base, prev_{t+1}..prev_w), and the row returns ``{(): total}``.  This
+    loses no check, because a later cell of the row reads only ``base``
+    and the ``prev`` tail.
     """
+    # placed[m] is what a cell holding maximum m leaves in the key.
+    placed = [()] * (level + 1) if final else [(m,) for m in range(level + 1)]
     frontier = {(0,) + prev: weight for prev, weight in states.items()}
     for t, fixed in enumerate(template, start=1):
         shift = (2 * i - t) * bits
+        at = 1 if final else t  # key index of prev_t
         grown: dict[tuple[int, ...], int] = {}
         for key, weight in frontier.items():
-            base, prev, head, tail = key[0], key[t], key[1:t], key[t + 1 :]
+            base, prev, head, tail = key[0], key[at], key[1:at], key[at + 1 :]
             if fixed is not None:
                 m = base + fixed
                 if m <= level:
-                    nxt = (m if m > prev else prev,) + head + (m,) + tail
+                    nxt = (m if m > prev else prev,) + head + placed[m] + tail
                     grown[nxt] = grown.get(nxt, 0) + weight
                 continue
             for m in range(base, level + 1):
-                nxt = (m if m > prev else prev,) + head + (m,) + tail
+                nxt = (m if m > prev else prev,) + head + placed[m] + tail
                 grown[nxt] = grown.get(nxt, 0) + weight
                 weight = (weight << shift) & mask
                 if not weight:
@@ -221,7 +234,9 @@ def dimension(weights: Sequence[int]) -> int:
 
     For finite weights (k_1, ..., k_l) the bracket is [0, 0, k_1, 0, k_2,
     ..., 0, k_l] at width 2l+1, and matrices may have free support only in
-    rows 1..l; no bound is placed on the partition mass.
+    rows 1..l; no bound is placed on the partition mass.  The count is the
+    last entry of :func:`prefix_pair_counts`, whose last row is swept as a
+    running total.
     """
     ks = _int_tuple(weights)
     if not ks:
@@ -234,11 +249,7 @@ def dimension(weights: Sequence[int]) -> int:
     bracket = [0] * (2 * rank + 1)
     for t, value in enumerate(ks):
         bracket[2 * t + 2] = value
-    wv = WeightVector(tuple(bracket))
-    states = {initial_maxima(wv): 1}
-    for i in range(1, rank + 1):
-        states = _sweep_row(states, i, wv.k_total, row_template(i, wv))
-    return sum(states.values())
+    return prefix_pair_counts(WeightVector(tuple(bracket)), rank)[-1]
 
 
 def prefix_pair_counts(
@@ -247,7 +258,8 @@ def prefix_pair_counts(
     """Admissible prefixes after each of the first ``rows`` diagonal rows.
 
     No bound is placed on partition mass.  With ``merged`` the kernel sums
-    multiplicities over merged states; otherwise the (total, maxima) pairs
+    multiplicities over merged states, and sweeps the last row as a running
+    total since no row reads its maxima; otherwise the (total, maxima) pairs
     are kept as a flat list, replaying the unmerged construction.  The two
     agree entry by entry, which is the conservation diagnostic.
     """
@@ -258,7 +270,8 @@ def prefix_pair_counts(
     if merged:
         states = {initial_maxima(wv): 1}
         for i in range(1, rows + 1):
-            states = _sweep_row(states, i, level, row_template(i, wv))
+            template = row_template(i, wv)
+            states = _sweep_row(states, i, level, template, final=i == rows)
             out.append(sum(states.values()))
     else:
         pairs: list[tuple[int, tuple[int, ...]]] = [(0, initial_maxima(wv))]

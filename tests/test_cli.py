@@ -177,6 +177,11 @@ class TestDim:
         assert result.exit_code == 0
         assert result.output.strip() == "dimension [2, 2, 2, 2] = 43046721"
 
+    def test_rank_five_golden_value(self):
+        result = run("dim", "2,2,2,2,2")
+        assert result.exit_code == 0
+        assert result.output == "dimension [2, 2, 2, 2, 2] = 847288609443\n"
+
     def test_json(self):
         result = run("dim", "1,1,2,2", "--format", "json")
         assert json.loads(result.output) == {

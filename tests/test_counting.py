@@ -36,6 +36,13 @@ class TestCountTable:
         series = CountTable(2, (4, 9)).to_series()
         assert series.coeffs == (1, 4, 9)
 
+    @pytest.mark.parametrize(
+        "counts", [(1, -3), (1.5, 1), (1.0, 1), (True, 1), ("1", 1), (None, 1)]
+    )
+    def test_rejects_impossible_counts(self, counts):
+        with pytest.raises(ValueError):
+            CountTable(2, counts)
+
 
 class TestCountAdmissible:
     def test_width_two_golden_tables(self):
@@ -164,10 +171,19 @@ class TestDimension:
         assert dimension(ks) == expected
 
     @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
     def test_uniform_weights_regression(self, k, rank):
         # observed, not a claimed theorem
         assert dimension((k,) * rank) == (k + 1) ** (rank * rank)
+
+    def test_collapsed_last_row_matches_unmerged_replay(self):
+        for rank in (1, 2, 3):
+            for ks in iproduct(range(3), repeat=rank):
+                if not sum(ks):
+                    continue
+                wv = WeightVector.from_odd((0,) + ks)
+                replay = prefix_pair_counts(wv, rank, merged=False)
+                assert dimension(ks) == replay[-1], ks
 
     def test_rank_one_counts_single_cell(self):
         for k in range(1, 6):

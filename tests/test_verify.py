@@ -1,9 +1,12 @@
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorparts import (
     CountCache,
+    CountTable,
     Series,
     STATUS_INSUFFICIENT,
     STATUS_MISMATCH,
@@ -281,6 +284,19 @@ class TestCache:
         assert cache.load(wv, 3) is None
         assert cached_count(wv, 3, cache).counts == (1, 1, 1)
         assert json.loads(entry.read_text())["counts"] == [1, 1, 1]
+
+    @settings(deadline=None)
+    @given(
+        bracket=st.lists(st.integers(0, 3), min_size=2, max_size=6).filter(any),
+        counts=st.lists(st.integers(0, 2**80), min_size=1, max_size=12),
+    )
+    def test_store_then_load_round_trips(self, bracket, counts):
+        wv = WeightVector(tuple(bracket))
+        table = CountTable(len(counts), tuple(counts))
+        with tempfile.TemporaryDirectory() as root:
+            cache = CountCache(root)
+            cache.store(wv, table.n_max, table)
+            assert cache.load(wv, table.n_max) == table
 
     def test_verify_with_cache_matches_without(self, tmp_path):
         wv = WeightVector.from_even((2, 0))
