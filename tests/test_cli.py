@@ -1,13 +1,30 @@
 import json
+import re
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from colorparts import __version__
 from colorparts.cli import main
 
+# Every command in every format, plus usage errors and --version: argv, exit
+# code and stdout, with the runtime fields normalised as bench/run.py does.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text("utf-8"))
+RUNTIME_TEXT = re.compile(r"^runtime = [0-9.]+s$", re.MULTILINE)
+RUNTIME_JSON = re.compile(r'"runtime_seconds": [-+0-9.eE]+')
+
 
 def run(*args, env=None):
     return CliRunner().invoke(main, list(args), env=env)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_matrix(case):
+    result = run(*case["argv"], env={"COLORPARTS_CACHE_DIR": None})
+    stdout = RUNTIME_TEXT.sub("runtime = _", result.stdout)
+    stdout = RUNTIME_JSON.sub('"runtime_seconds": _', stdout)
+    assert (result.exit_code, stdout) == (case["exit_code"], case["stdout"])
 
 
 def test_version_without_installed_package():
