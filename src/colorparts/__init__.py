@@ -6,92 +6,25 @@ periodic products as exact q-series, and verifies or rediscovers the product
 formulas by comparing the two.
 """
 
-from .cache import CountCache, cached_count
-from .congruence import (
-    CongruenceTriangle,
-    PeriodicProduct,
-    PlusFactor,
-    ResidueSpecError,
-    Scheme,
-    build_scheme,
-    build_triangle,
-    even_width_product,
-    lepowsky_product,
-    parse_residue_spec,
-    residue_class_text,
-)
-from .counting import (
-    ALGORITHM_VERSION,
-    CountTable,
-    brute_force_count,
-    count_admissible,
-    dimension,
-    prefix_pair_counts,
-)
-from .lattice import (
-    WeightVector,
-    enumerate_row_frequencies,
-    initial_maxima,
-    maxima_step,
-    mirror_row,
-    path_check,
-    row_parts,
-    row_template,
-)
-from .qseries import ExponentSequence, Series, expand, fit_exponents
-from .verify import (
-    STATUS_INSUFFICIENT,
-    STATUS_MISMATCH,
-    STATUS_VERIFIED,
-    VerificationReport,
-    conjectured_product,
-    fit_weight,
-    run_sweep,
-    sweep_weights,
-    verify_weight,
-)
+from .congruence import even_width_product, lepowsky_product, parse_residue_spec
+from .counting import brute_force_count, count_admissible, dimension
+from .lattice import WeightVector
+from .qseries import expand
+from .verify import STATUS_VERIFIED, fit_weight, run_sweep, verify_weight
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHM_VERSION",
-    "CongruenceTriangle",
-    "CountCache",
-    "CountTable",
-    "ExponentSequence",
-    "PeriodicProduct",
-    "PlusFactor",
-    "ResidueSpecError",
-    "Scheme",
-    "Series",
-    "STATUS_INSUFFICIENT",
-    "STATUS_MISMATCH",
     "STATUS_VERIFIED",
-    "VerificationReport",
     "WeightVector",
     "brute_force_count",
-    "build_scheme",
-    "build_triangle",
-    "cached_count",
-    "conjectured_product",
     "count_admissible",
     "dimension",
-    "enumerate_row_frequencies",
     "even_width_product",
     "expand",
-    "fit_exponents",
     "fit_weight",
-    "initial_maxima",
     "lepowsky_product",
-    "maxima_step",
-    "mirror_row",
     "parse_residue_spec",
-    "path_check",
-    "prefix_pair_counts",
-    "residue_class_text",
-    "row_parts",
-    "row_template",
     "run_sweep",
-    "sweep_weights",
     "verify_weight",
 ]

@@ -50,11 +50,12 @@ class CountCache:
         if data.get("bracket") != list(wv.bracket) or data.get("n_max") != n_max:
             return None
         counts = data.get("counts")
-        if not isinstance(counts, list) or len(counts) != n_max:
+        if not isinstance(counts, list):
             return None
-        if not all(type(c) is int and c >= 0 for c in counts):
+        try:
+            return CountTable(n_max, tuple(counts))
+        except ValueError:
             return None
-        return CountTable(n_max, tuple(counts))
 
     def store(self, wv: WeightVector, n_max: int, table: CountTable) -> None:
         path = self._path(wv, n_max)

@@ -17,15 +17,9 @@ import click
 from . import __version__
 from .cache import CountCache, cached_count
 from .congruence import ResidueSpecError, parse_residue_spec, residue_class_text
-from .counting import dimension
+from .counting import CountTable, dimension
 from .lattice import WeightVector
-from .verify import (
-    STATUS_VERIFIED,
-    VerificationReport,
-    fit_weight,
-    run_sweep,
-    verify_weight,
-)
+from .verify import STATUS_VERIFIED, fit_weight, run_sweep, verify_weight
 
 CACHE_ENV_VAR = "COLORPARTS_CACHE_DIR"
 
@@ -54,7 +48,12 @@ def _weight_vector(
 
 
 def _cache(cache_dir: Optional[str]) -> Optional[CountCache]:
-    return CountCache(cache_dir) if cache_dir else None
+    if not cache_dir:
+        return None
+    try:
+        return CountCache(cache_dir)
+    except OSError as exc:
+        raise click.UsageError(f"--cache-dir is not a usable directory: {exc}")
 
 
 weight_options = [
@@ -96,17 +95,40 @@ def main():
     them against periodic product formulas."""
 
 
-def _echo_weight_header(wv: WeightVector) -> None:
-    click.echo(f"highest_weight = {list(wv.bracket)}")
-    click.echo(f"k = {wv.k_total}  w = {wv.width}")
+def _emit(
+    fmt: str, text_lines: list, record, csv_header: list[str], csv_rows: list[list]
+) -> None:
+    """Print the view of a result that ``--format`` selects.
+
+    Text prints each of ``text_lines`` through ``str`` on its own line; json
+    prints ``record`` with sorted keys; csv prints the header, then the rows.
+    """
+    if fmt == "text":
+        out = "\n".join(str(line) for line in text_lines)
+    elif fmt == "json":
+        out = json.dumps(record, sort_keys=True)
+    else:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
+        out = buffer.getvalue().rstrip("\n")
+    click.echo(out)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
+def _weight_views(wv: WeightVector, table: CountTable) -> tuple[list, dict]:
+    """The text header and JSON record that ``count`` and ``fit`` share."""
+    lines = [
+        f"highest_weight = {list(wv.bracket)}",
+        f"k = {wv.k_total}  w = {wv.width}",
+    ]
+    record = {
+        "bracket": list(wv.bracket),
+        "sugar": wv.sugar_label(),
+        "n_max": table.n_max,
+        "counts": list(table.counts),
+    }
+    return lines, record
 
 
 @main.command()
@@ -120,52 +142,9 @@ def count(odd, even, bracket, n_max, fmt, cache_dir):
     if n_max < 1:
         raise click.UsageError("-N must be >= 1")
     table = cached_count(wv, n_max, _cache(cache_dir))
-    if fmt == "text":
-        _echo_weight_header(wv)
-        click.echo(str(table.pairs()))
-    elif fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "bracket": list(wv.bracket),
-                    "sugar": wv.sugar_label(),
-                    "n_max": n_max,
-                    "counts": list(table.counts),
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        click.echo(_csv_text(["n", "count"], table.pairs()))
-
-
-def _report_text(report: VerificationReport) -> str:
-    lines = [
-        f"bracket = {list(report.bracket)}",
-        f"sugar = {report.sugar or '(none)'}",
-        f"product = modulus {report.product.modulus}, source {report.product_source}",
-        f"status = {report.status}",
-    ]
-    if report.first_mismatch:
-        n, count_value, coefficient = report.first_mismatch
-        lines.append(
-            f"first mismatch at n = {n}: count {count_value} != coefficient {coefficient}"
-        )
-    lines.append(f"runtime = {report.runtime_seconds:.3f}s")
-    return "\n".join(lines)
-
-
-def _emit_report(report: VerificationReport, fmt: str) -> None:
-    if fmt == "text":
-        click.echo(_report_text(report))
-    elif fmt == "json":
-        click.echo(json.dumps(report.to_dict(), sort_keys=True))
-    else:
-        rows = [
-            [n, report.counts[n], report.coefficients[n - 1]]
-            for n in range(1, report.n_max + 1)
-        ]
-        click.echo(_csv_text(["n", "count", "coefficient"], rows))
+    lines, record = _weight_views(wv, table)
+    pairs = table.pairs()
+    _emit(fmt, lines + [pairs], record, ["n", "count"], pairs)
 
 
 @main.command()
@@ -197,7 +176,20 @@ def verify(ctx, odd, even, bracket, n_max, auto, spec_text, fmt, cache_dir):
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _emit_report(report, fmt)
+    lines = [
+        f"bracket = {list(report.bracket)}",
+        f"sugar = {report.sugar or '(none)'}",
+        f"product = modulus {report.product.modulus}, source {report.product_source}",
+        f"status = {report.status}",
+    ]
+    if report.first_mismatch:
+        n, count_value, coefficient = report.first_mismatch
+        lines.append(
+            f"first mismatch at n = {n}: count {count_value} != coefficient {coefficient}"
+        )
+    lines.append(f"runtime = {report.runtime_seconds:.3f}s")
+    rows = [[n, c, q] for (n, c), q in zip(report.counts.pairs(), report.coefficients)]
+    _emit(fmt, lines, report.to_dict(), ["n", "count", "coefficient"], rows)
     if report.status != STATUS_VERIFIED:
         ctx.exit(1)
 
@@ -214,34 +206,24 @@ def sweep(ctx, width, k_total, n_max, jobs, fmt, cache_dir):
     """Verify every weight of a conjecture family; exit 0 iff all verify."""
     if n_max < 1 or jobs < 1:
         raise click.UsageError("-N and --jobs must be >= 1")
+    _cache(cache_dir)  # the workers open their own; fail here, not in each task
     try:
         reports = run_sweep(width, k_total, n_max, jobs=jobs, cache_dir=cache_dir)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     verified = sum(1 for r in reports if r.status == STATUS_VERIFIED)
-    if fmt == "text":
-        for report in reports:
-            line = (
-                f"{report.sugar or list(report.bracket)}  "
-                f"mod {report.product.modulus}  {report.status}"
-            )
-            if report.first_mismatch:
-                line += f"  (first mismatch at n = {report.first_mismatch[0]})"
-            click.echo(line)
-        click.echo(f"{verified}/{len(reports)} verified")
-    elif fmt == "json":
-        click.echo(json.dumps([r.to_dict() for r in reports], sort_keys=True))
-    else:
-        rows = [
-            [
-                report.sugar or ",".join(str(x) for x in report.bracket),
-                report.product.modulus,
-                report.status,
-                report.first_mismatch[0] if report.first_mismatch else "",
-            ]
-            for report in reports
-        ]
-        click.echo(_csv_text(["weight", "modulus", "status", "first_mismatch_n"], rows))
+    lines, rows = [], []
+    for r in reports:
+        mismatch_n = r.first_mismatch[0] if r.first_mismatch else ""
+        line = f"{r.sugar or list(r.bracket)}  mod {r.product.modulus}  {r.status}"
+        if r.first_mismatch:
+            line += f"  (first mismatch at n = {mismatch_n})"
+        lines.append(line)
+        weight = r.sugar or ",".join(str(x) for x in r.bracket)
+        rows.append([weight, r.product.modulus, r.status, mismatch_n])
+    lines.append(f"{verified}/{len(reports)} verified")
+    header = ["weight", "modulus", "status", "first_mismatch_n"]
+    _emit(fmt, lines, [r.to_dict() for r in reports], header, rows)
     if verified != len(reports):
         ctx.exit(1)
 
@@ -263,39 +245,27 @@ def fit(odd, even, bracket, n_max, max_modulus, fmt, cache_dir):
         multiplicities = fitted.class_multiplicities(fitted.detected_period)
         if all(m >= 0 for m in multiplicities):
             classes = residue_class_text(fitted.detected_period, multiplicities)
-    if fmt == "text":
-        _echo_weight_header(wv)
-        click.echo(f"exponents (j = 1..{n_max}): {list(fitted.exponents)}")
-        if fitted.detected_period is not None:
-            click.echo(f"period = {fitted.detected_period}")
-        elif fitted.candidate_period is not None:
-            click.echo(
-                f"period = none (period {fitted.candidate_period} consistent "
-                f"but insufficient evidence: needs N >= {2 * fitted.candidate_period})"
-            )
-        else:
-            click.echo(f"period = none (no period <= {max_modulus})")
-        if classes is not None:
-            click.echo(f"classes = {classes}")
-    elif fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "bracket": list(wv.bracket),
-                    "sugar": wv.sugar_label(),
-                    "n_max": n_max,
-                    "counts": list(table.counts),
-                    "exponents": list(fitted.exponents),
-                    "detected_period": fitted.detected_period,
-                    "candidate_period": fitted.candidate_period,
-                    "classes": classes,
-                },
-                sort_keys=True,
-            )
+    lines, record = _weight_views(wv, table)
+    lines.append(f"exponents (j = 1..{n_max}): {list(fitted.exponents)}")
+    if fitted.detected_period is not None:
+        lines.append(f"period = {fitted.detected_period}")
+    elif fitted.candidate_period is not None:
+        lines.append(
+            f"period = none (period {fitted.candidate_period} consistent "
+            f"but insufficient evidence: needs N >= {2 * fitted.candidate_period})"
         )
     else:
-        rows = [[j, fitted.exponents[j - 1]] for j in range(1, n_max + 1)]
-        click.echo(_csv_text(["j", "exponent"], rows))
+        lines.append(f"period = none (no period <= {max_modulus})")
+    if classes is not None:
+        lines.append(f"classes = {classes}")
+    record.update(
+        exponents=list(fitted.exponents),
+        detected_period=fitted.detected_period,
+        candidate_period=fitted.candidate_period,
+        classes=classes,
+    )
+    rows = [[j, e] for j, e in enumerate(fitted.exponents, start=1)]
+    _emit(fmt, lines, record, ["j", "exponent"], rows)
 
 
 @main.command()
@@ -308,14 +278,10 @@ def dim(weights, fmt):
         result = dimension(values)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if fmt == "text":
-        click.echo(f"dimension {list(values)} = {result}")
-    elif fmt == "json":
-        click.echo(
-            json.dumps({"weights": list(values), "dimension": result}, sort_keys=True)
-        )
-    else:
-        click.echo(_csv_text(["weights", "dimension"], [[",".join(map(str, values)), result]]))
+    line = f"dimension {list(values)} = {result}"
+    record = {"weights": list(values), "dimension": result}
+    row = [",".join(map(str, values)), result]
+    _emit(fmt, [line], record, ["weights", "dimension"], [row])
 
 
 if __name__ == "__main__":

@@ -5,8 +5,7 @@ columns j = 1..w, where j = 1 is the *top* array row (it carries the largest
 part 2i-1 on diagonal i) and j = w the bottom.  The cell (i, j) holds the
 part value max(0, 2i - j); cells with j >= 2i are prescribed and carry the
 bracket entry k_{w+1-j}, so row 0 is prescribed everywhere.  Printed
-staircase displays usually run the other way (bottom row leftmost); use
-:func:`mirror_row` when comparing against such output.
+staircase displays usually run the other way (bottom row leftmost).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "WeightVector",
     "row_parts",
     "row_template",
-    "mirror_row",
     "initial_maxima",
     "maxima_step",
     "enumerate_row_frequencies",
@@ -108,9 +106,6 @@ class WeightVector:
             return None
         return (self.bracket[0],) + self.bracket[1::2]
 
-    def reversed_bracket(self) -> "WeightVector":
-        return WeightVector(self.bracket[::-1])
-
     def sugar_label(self) -> Optional[str]:
         odd = self.odd_sugar
         if odd is not None:
@@ -126,11 +121,6 @@ def row_parts(i: int, w: int) -> tuple[int, ...]:
     if i < 0 or w < 2:
         raise ValueError("need row index >= 0 and width >= 2")
     return tuple(max(0, 2 * i - j) for j in range(1, w + 1))
-
-
-def mirror_row(row: Sequence[int]) -> tuple[int, ...]:
-    """Flip a row into display order (bottom array row leftmost)."""
-    return tuple(reversed(row))
 
 
 def row_template(i: int, wv: WeightVector) -> tuple[Optional[int], ...]:

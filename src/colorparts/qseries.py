@@ -1,10 +1,10 @@
 """Exact truncated power series over Python integers.
 
 A :class:`Series` holds coefficients c_0..c_N of a formal power series taken
-modulo q^(N+1).  All arithmetic is exact; coefficients are plain Python ints,
-so partition counts never overflow.  Binomial factors (1 +/- q^j)^e are
-applied by in-place sweeps rather than generic multiplication, which keeps
-the expansion of a periodic product linear in N per factor.
+modulo q^(N+1).  Coefficients are plain Python ints, so partition counts
+never overflow.  Binomial factors (1 +/- q^j)^e are applied by in-place
+sweeps rather than generic multiplication, which keeps the expansion of a
+periodic product linear in N per factor.
 """
 
 from __future__ import annotations
@@ -43,67 +43,12 @@ class Series:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
-    @classmethod
-    def one(cls, degree: int) -> "Series":
-        return cls((1,) + (0,) * degree)
-
     @property
     def truncation_degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
-
-    def _match(self, other: "Series") -> None:
-        if self.truncation_degree != other.truncation_degree:
-            raise ValueError("series truncation degrees differ")
-
-    def __add__(self, other: "Series") -> "Series":
-        self._match(other)
-        return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Series") -> "Series":
-        self._match(other)
-        return Series(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "Series") -> "Series":
-        self._match(other)
-        n = len(self.coeffs)
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for t in range(n - i):
-                    b = other.coeffs[t]
-                    if b:
-                        out[i + t] += a * b
-        return Series(tuple(out))
-
-    def __truediv__(self, other: "Series") -> "Series":
-        """Exact truncated division; the divisor must be a unit (c_0 = +-1)."""
-        self._match(other)
-        b0 = other.coeffs[0]
-        if b0 not in (1, -1):
-            raise ValueError("division requires a unit divisor (constant term +-1)")
-        n = len(self.coeffs)
-        quotient = [0] * n
-        for t in range(n):
-            acc = self.coeffs[t]
-            for i in range(t):
-                qi = quotient[i]
-                if qi:
-                    acc -= qi * other.coeffs[t - i]
-            quotient[t] = acc * b0
-        return Series(tuple(quotient))
-
-    def pow_factor(self, j: int, exponent: int, sign: int = -1) -> "Series":
-        """Return ``self * (1 + sign*q^j)^exponent`` (sign -1 gives 1 - q^j)."""
-        if j < 1:
-            raise ValueError("factor index must be >= 1")
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        coeffs = list(self.coeffs)
-        _apply_unit_factor(coeffs, j, exponent, sign)
-        return Series(tuple(coeffs))
 
 
 def expand(product: PeriodicProduct, degree: int) -> Series:

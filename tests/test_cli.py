@@ -223,3 +223,26 @@ class TestCacheWiring:
         result = run("count", "--even", "2,0", "-N", "10", env=env)
         assert result.exit_code == 0
         assert len(list(tmp_path.iterdir())) == 1
+
+    @pytest.mark.parametrize(
+        "args, env_dir",
+        [
+            (["count", "--even", "0,1", "-N", "5", "--cache-dir", "{file}"], False),
+            (["count", "--even", "0,1", "-N", "5", "--cache-dir", "{file}/sub"], False),
+            (["sweep", "-w", "2", "-k", "1", "-N", "5", "--cache-dir", "{file}"], False),
+            (["count", "--even", "0,1", "-N", "5"], True),
+            (["sweep", "-w", "2", "-k", "1", "-N", "5"], True),
+        ],
+        ids=["count", "count-below-file", "sweep", "count-env", "sweep-env"],
+    )
+    def test_unusable_cache_dir_is_usage_error(self, tmp_path, args, env_dir):
+        # a plain file where the cache directory should be
+        blocker = tmp_path / "f"
+        blocker.touch()
+        args = [arg.replace("{file}", str(blocker)) for arg in args]
+        env = {"COLORPARTS_CACHE_DIR": str(blocker) if env_dir else None}
+        result = run(*args, env=env)
+        assert result.exit_code == 2
+        assert "--cache-dir is not a usable directory" in result.output
+        assert result.stdout == ""
+

@@ -3,18 +3,18 @@ from collections import Counter
 
 import pytest
 
-from colorparts import (
+from colorparts.congruence import (
     PeriodicProduct,
     PlusFactor,
     ResidueSpecError,
     build_scheme,
     build_triangle,
     even_width_product,
-    expand,
     lepowsky_product,
     parse_residue_spec,
     residue_class_text,
 )
+from colorparts.qseries import expand
 
 from known_identities import EVEN_ROWS, ODD_ROWS
 

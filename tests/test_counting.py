@@ -3,16 +3,16 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorparts import (
+from colorparts.congruence import parse_residue_spec
+from colorparts.counting import (
     CountTable,
-    WeightVector,
     brute_force_count,
     count_admissible,
     dimension,
-    expand,
-    parse_residue_spec,
     prefix_pair_counts,
 )
+from colorparts.lattice import WeightVector
+from colorparts.qseries import expand
 
 APPENDIX_01 = (1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9, 10, 12, 14, 17, 19, 23, 26, 31)
 APPENDIX_10 = (0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6, 6, 8, 9, 11, 12, 15, 16, 20)

@@ -3,12 +3,11 @@ from itertools import product as iproduct
 
 import pytest
 
-from colorparts import (
+from colorparts.lattice import (
     WeightVector,
     enumerate_row_frequencies,
     initial_maxima,
     maxima_step,
-    mirror_row,
     path_check,
     row_parts,
     row_template,
@@ -55,8 +54,6 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             maxima_step((0, 0), (0, 0, 0), 1)
 
-    def test_reversed_bracket(self):
-        assert WeightVector((2, 1, 0)).reversed_bracket().bracket == (0, 1, 2)
 
 
 class TestRows:
@@ -64,10 +61,6 @@ class TestRows:
         assert row_parts(3, 5) == (5, 4, 3, 2, 1)
         assert row_parts(1, 5) == (1, 0, 0, 0, 0)
         assert row_parts(0, 4) == (0, 0, 0, 0)
-
-    def test_mirror_row_matches_display_orientation(self):
-        assert mirror_row(row_parts(3, 5)) == (1, 2, 3, 4, 5)
-        assert mirror_row(row_parts(1, 5)) == (0, 0, 0, 0, 1)
 
     def test_row_template_prescribes_tail(self):
         wv = WeightVector((2, 0, 0, 0, 0))

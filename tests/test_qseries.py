@@ -1,71 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from colorparts import (
-    PeriodicProduct,
-    Series,
-    expand,
-    fit_exponents,
-    parse_residue_spec,
-)
-
-
-def random_series(rng, degree, c0=None, span=6):
-    head = rng.randint(-span, span) if c0 is None else c0
-    return Series((head,) + tuple(rng.randint(-span, span) for _ in range(degree)))
-
-
-class TestSeriesArithmetic:
-    def test_mul_identity(self):
-        rng = random.Random(1)
-        s = random_series(rng, 12)
-        assert s * Series.one(12) == s
-
-    def test_geometric_inverse(self):
-        one = Series.one(4)
-        geo = one.pow_factor(1, -1)
-        assert geo.coeffs == (1, 1, 1, 1, 1)
-
-    def test_factor_roundtrip(self):
-        rng = random.Random(2)
-        s = random_series(rng, 15)
-        assert s.pow_factor(2, -1).pow_factor(2, 1) == s
-        assert s.pow_factor(3, 2, sign=1).pow_factor(3, -2, sign=1) == s
-
-    def test_div_roundtrip(self):
-        rng = random.Random(3)
-        s = random_series(rng, 15)
-        unit = random_series(rng, 15, c0=1)
-        assert (s * unit) / unit == s
-        neg_unit = random_series(rng, 15, c0=-1)
-        assert (s * neg_unit) / neg_unit == s
-
-    def test_div_requires_unit(self):
-        with pytest.raises(ValueError):
-            Series((2, 0, 0)) / Series((2, 0, 0))
-
-    def test_mul_commutative_associative(self):
-        rng = random.Random(4)
-        for _ in range(25):
-            a = random_series(rng, 25)
-            b = random_series(rng, 25)
-            c = random_series(rng, 25)
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-
-    def test_truncate_commutes_with_mul(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            a = random_series(rng, 30)
-            b = random_series(rng, 30)
-            full = (a * b).coeffs[:16]
-            short = Series(a.coeffs[:16]) * Series(b.coeffs[:16])
-            assert full == short.coeffs
-
-    def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Series((1, 0)) * Series((1, 0, 0))
+from colorparts.congruence import PeriodicProduct, parse_residue_spec
+from colorparts.qseries import Series, expand, fit_exponents
 
 
 class TestExpand:
@@ -85,14 +24,14 @@ class TestExpand:
         assert expand(PeriodicProduct(1, (-1,)), 0).coeffs == (1,)
 
     def test_factors_beyond_truncation_are_ignored(self):
-        series = Series((1, 2, 3))
-        assert series.pow_factor(5, -3) == series
+        # the (1 - q^5)^-3 factor cannot reach degree 4
+        with_factor = expand(PeriodicProduct(5, (-3, -1, -1, -1, -1)), 4)
+        assert with_factor == expand(PeriodicProduct(1, (-1,)), 4)
 
     def test_plus_factors_match_rewrite(self):
         # (1 + q^j) over j = 2 mod 4 equals (1 - q^{2j})/(1 - q^j) there
         with_plus = expand(parse_residue_spec("1,3,5,7 mod 8 [(+2 mod 4)]"), 24)
-        rewritten = expand(parse_residue_spec("1,2,3,5,6,7 mod 8"), 24)
-        rewritten = rewritten.pow_factor(4, 1).pow_factor(12, 1).pow_factor(20, 1)
+        rewritten = expand(PeriodicProduct(8, (0, -1, -1, -1, 1, -1, -1, -1)), 24)
         assert with_plus == rewritten
 
     def test_nonnegative_for_generating_products(self):
@@ -108,7 +47,31 @@ class TestExpand:
             assert min(expand(product, 30).coeffs) >= 0
 
 
+@st.composite
+def products_and_degrees(draw):
+    """A product without plus factors and a degree N >= 2 * its period."""
+    modulus = draw(st.integers(1, 8))
+    product = PeriodicProduct(
+        modulus,
+        tuple(draw(st.lists(st.integers(-2, 2), min_size=modulus, max_size=modulus))),
+        global_all=draw(st.integers(-2, 0)),
+        global_odd=draw(st.integers(-2, 0)),
+    )
+    return product, draw(st.integers(2 * product.period, 40))
+
+
 class TestFitExponents:
+    @settings(deadline=None)
+    @given(products_and_degrees())
+    def test_fit_inverts_expand(self, case):
+        product, n = case
+        fitted = fit_exponents(expand(product, n))
+        assert fitted.exponents == tuple(
+            -product.effective_exponent(j) for j in range(1, n + 1)
+        )
+        # N >= 2 * period, so by Fine-Wilf the smallest period divides it
+        assert product.period % fitted.detected_period == 0
+
     def test_roundtrip_random_products(self):
         rng = random.Random(8)
         for _ in range(40):
@@ -124,7 +87,7 @@ class TestFitExponents:
             assert fitted.exponents == expected
 
     def test_constant_series(self):
-        fitted = fit_exponents(Series.one(12))
+        fitted = fit_exponents(expand(PeriodicProduct(1, (0,)), 12))
         assert fitted.exponents == (0,) * 12
         assert fitted.detected_period == 1
 
@@ -154,7 +117,6 @@ class TestFitExponents:
     def test_reproduces_series(self):
         series = expand(parse_residue_spec("odd; 2,4,5,6,8 mod 10"), 18)
         fitted = fit_exponents(series)
-        rebuilt = Series.one(18)
-        for j, e in enumerate(fitted.exponents, start=1):
-            rebuilt = rebuilt.pow_factor(j, -e)
-        assert rebuilt == series
+        # one residue class per factor index j = 1..18 rebuilds the product
+        rebuilt = PeriodicProduct(19, (0,) + tuple(-e for e in fitted.exponents))
+        assert expand(rebuilt, 18) == series
