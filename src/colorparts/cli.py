@@ -1,8 +1,8 @@
 """Command-line verifier and sweep harness.
 
-Exit codes: 0 success (or every comparison verified), 1 mismatch, 2 usage or
-parse errors.  The cache directory may also be set through the
-COLORPARTS_CACHE_DIR environment variable.
+Exit codes: 0 success (or every comparison verified), 1 when verify or sweep
+finds a mismatch or an insufficient-N comparison, 2 usage or parse errors.
+The cache directory may also be set through COLORPARTS_CACHE_DIR.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def fit(odd, even, bracket, n_max, max_modulus, fmt, cache_dir):
             f"but insufficient evidence: needs N >= {2 * fitted.candidate_period})"
         )
     else:
-        lines.append(f"period = none (no period <= {max_modulus})")
+        lines.append(f"period = none (no period <= {min(max_modulus, n_max - 1)})")
     if classes is not None:
         lines.append(f"classes = {classes}")
     record.update(

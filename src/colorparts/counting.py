@@ -1,14 +1,13 @@
 """Counting admissible colored partitions.
 
-One kernel, :func:`_sweep_row`, advances running path maxima across a
-diagonal row one cell at a time (the transfer-matrix method with a moving
-frontier).  :func:`count_admissible` runs it with each state's coefficients
-packed into one int, a fixed number of bits per total (Kronecker
-substitution), so shifting and adding whole polynomials is big-integer
-arithmetic; :func:`prefix_pair_counts`, and through it :func:`dimension`,
-runs it with plain multiplicities and sweeps the last row as a running
-total.  A brute-force enumerator filtered by explicit path checking serves
-as the independent oracle and shares no code with the kernel.
+One kernel, :func:`_sweep_row`, advances running path maxima, packed into
+one int in radix level + 1, across a diagonal row one cell at a time (the
+transfer-matrix method with a moving frontier).  :func:`count_admissible`
+packs each state's coefficients into one int (Kronecker substitution), total
+s at limb N - s; :func:`prefix_pair_counts`, and through it
+:func:`dimension`, uses plain multiplicities.  A brute-force enumerator
+filtered by explicit path checking is the independent oracle and shares no
+code with the kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ __all__ = [
 ]
 
 # Bump when the kernel changes in any way that could alter cached tables.
-ALGORITHM_VERSION = "frontier-1"
+ALGORITHM_VERSION = "frontier-2"
 
 
 @dataclass(frozen=True)
@@ -70,65 +69,63 @@ class CountTable:
 
 
 def _sweep_row(
-    states: dict[tuple[int, ...], int],
+    states: dict[int, int],
     i: int,
     level: int,
     template: Sequence[Optional[int]],
     bits: int = 0,
-    mask: int = -1,
     final: bool = False,
-) -> dict[tuple[int, ...], int]:
+) -> dict[int, int]:
     """Advance ``{maxima: weight}`` across diagonal row i one cell at a time.
 
-    The frontier key after column t is (base, m_1..m_t, prev_{t+1}..prev_w)
-    with base = max(m_t, prev_t), the floor of m_{t+1}.  A free cell takes
-    every m in base..level, each unit of frequency shifting the weight by its
-    part 2i - t limbs of ``bits`` bits; a prescribed cell (part 0) takes
-    m = base + k alone, if that stays within the level.  With ``bits`` = 0
-    weights are plain multiplicities; otherwise each packs one coefficient
-    per total, and ``mask`` drops totals past the top degree.
-
-    With ``final`` the row is the last one read, so its maxima are never
-    keys again: m_t leaves the key once placed, the key after column t is
-    (base, prev_{t+1}..prev_w), and the row returns ``{(): total}``.  This
-    loses no check, because a later cell of the row reads only ``base``
-    and the ``prev`` tail.
+    Keys hold maxima m_1..m_w in slots 0..w-1 of an int in radix R = level
+    + 1.  The row starts from key * R; after column t, slot 0 holds base =
+    max(m_t, prev_t), the floor of m_{t+1}, slots 1..t hold m_1..m_t and
+    slots t+1..w hold prev_{t+1}..prev_w; the row ends with key // R.  A free cell
+    takes every m in base..level, each unit of frequency shifting the weight
+    right by its part 2i - t limbs of ``bits`` bits (0: plain multiplicities);
+    a prescribed cell (part 0) takes m = base + k alone.  With ``final``,
+    slot t is written as 0 once m_t is placed, and the row returns ``{0:
+    total}``: its maxima are never read, and later cells read only slot 0
+    and the slots above t.
     """
-    # placed[m] is what a cell holding maximum m leaves in the key.
-    placed = [()] * (level + 1) if final else [(m,) for m in range(level + 1)]
-    frontier = {(0,) + prev: weight for prev, weight in states.items()}
+    radix = level + 1
+    frontier = {key * radix: weight for key, weight in states.items()}
     for t, fixed in enumerate(template, start=1):
         shift = (2 * i - t) * bits
-        at = 1 if final else t  # key index of prev_t
-        grown: dict[tuple[int, ...], int] = {}
+        slot = radix**t
+        place = 0 if final else slot  # what one unit of m_t adds to the key
+        grown: dict[int, int] = {}
         for key, weight in frontier.items():
-            base, prev, head, tail = key[0], key[at], key[1:at], key[at + 1 :]
+            base = key % radix
+            prev = key // slot % radix
+            rest = key - base - prev * slot
             if fixed is not None:
                 m = base + fixed
                 if m <= level:
-                    nxt = (m if m > prev else prev,) + head + placed[m] + tail
+                    nxt = rest + (m if m > prev else prev) + m * place
                     grown[nxt] = grown.get(nxt, 0) + weight
                 continue
             for m in range(base, level + 1):
-                nxt = (m if m > prev else prev,) + head + placed[m] + tail
+                nxt = rest + (m if m > prev else prev) + m * place
                 grown[nxt] = grown.get(nxt, 0) + weight
-                weight = (weight << shift) & mask
+                weight >>= shift
                 if not weight:
                     break
         frontier = grown
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[int, int] = {}
     for key, weight in frontier.items():
-        out[key[1:]] = out.get(key[1:], 0) + weight
+        out[key // radix] = out.get(key // radix, 0) + weight
     return out
 
 
 def count_admissible(wv: WeightVector, n_max: int) -> CountTable:
     """Exact P(1..n_max) by the frontier sweep with packed coefficients.
 
-    Each state packs its coefficients (total -> multiplicity) into one int,
-    ``bits`` bits per total.  After each row, totals that even the smallest
-    part of the next row would push past n_max retire into the tally, and
-    the run stops once every state has retired.
+    A weight holds the coefficient of total s at limb n_max - s (its budget),
+    ``bits`` bits per limb, so totals past n_max fall off the bottom.  After
+    each row, limbs whose budget is below the next row's smallest part retire
+    into the tally; the run stops once every state has retired.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -138,25 +135,18 @@ def count_admissible(wv: WeightVector, n_max: int) -> CountTable:
     # the largest of those counts.
     colored = expand(PeriodicProduct(2, (-(w // 2), -((w + 1) // 2))), n_max)
     bits = max(colored.coeffs).bit_length()
-    mask = (1 << (n_max + 1) * bits) - 1
-    states = {initial_maxima(wv): 1}
+    states = {0: 1 << n_max * bits}  # every maximum is 0 before row 0
     tally = 0
     i = 0
     while states:
+        states = _sweep_row(states, i, wv.k_total, row_template(i, wv), bits)
         i += 1
-        states = _sweep_row(states, i, wv.k_total, row_template(i, wv), bits, mask)
-        min_next = max(0, 2 * (i + 1) - w)
-        low = (1 << max(0, n_max + 1 - min_next) * bits) - 1
-        kept = {}
-        for maxima, weight in states.items():
-            tally += weight & ~low
-            if weight & low:
-                kept[maxima] = weight & low
-        states = kept
+        low = (1 << max(0, 2 * i - w) * bits) - 1  # budgets below row i's parts
+        tally += sum(weight & low for weight in states.values())
+        states = {key: weight & ~low for key, weight in states.items() if weight > low}
     limb = (1 << bits) - 1
-    return CountTable(
-        n_max, tuple((tally >> n * bits) & limb for n in range(1, n_max + 1))
-    )
+    budgets = range(n_max - 1, -1, -1)  # of totals 1..n_max
+    return CountTable(n_max, tuple((tally >> b * bits) & limb for b in budgets))
 
 
 def brute_force_count(
@@ -268,7 +258,7 @@ def prefix_pair_counts(
     level = wv.k_total
     out: list[int] = []
     if merged:
-        states = {initial_maxima(wv): 1}
+        states = _sweep_row({0: 1}, 0, level, row_template(0, wv))
         for i in range(1, rows + 1):
             template = row_template(i, wv)
             states = _sweep_row(states, i, level, template, final=i == rows)

@@ -10,6 +10,7 @@ periodic product linear in N per factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .congruence import PeriodicProduct
@@ -18,11 +19,20 @@ __all__ = ["Series", "ExponentSequence", "expand", "fit_exponents"]
 
 
 def _apply_unit_factor(coeffs: list[int], j: int, exponent: int, sign: int) -> None:
-    """Multiply ``coeffs`` by (1 + sign*q^j)^exponent in place, truncated."""
+    """Multiply ``coeffs`` by (1 + sign*q^j)^exponent in place, truncated.
+
+    One pass per unit of |exponent|, or, past the measured break-even of
+    4 + terms/2 passes for (n-1)//j terms, one with weights C(exponent, k) sign^k.
+    """
     n = len(coeffs)
-    if j >= n:
-        return  # the factor cannot affect kept degrees
-    if exponent >= 0:
+    terms = (n - 1) // j
+    if abs(exponent) > 4 + terms // 2:
+        b = [1]
+        for k in range(1, terms + 1):
+            b.append(b[-1] * (exponent - k + 1) * sign // k)
+        for t in range(n - 1, j - 1, -1):
+            coeffs[t] = sum(map(mul, b, coeffs[t::-j]))
+    elif exponent >= 0:
         for _ in range(exponent):
             for t in range(n - 1, j - 1, -1):
                 coeffs[t] += sign * coeffs[t - j]
@@ -77,7 +87,7 @@ class ExponentSequence:
     ``detected_period`` is the smallest m such that e_j depends only on
     j mod m over the computed range, reported only when N >= 2m gives every
     residue class at least two witnesses.  ``candidate_period`` records the
-    smallest consistent m even when the evidence is insufficient.
+    smallest consistent m < N even when the evidence is insufficient.
     """
 
     exponents: tuple[int, ...]
@@ -130,7 +140,7 @@ def fit_exponents(
         if e:
             _apply_unit_factor(residual, j, e, -1)
     detected = candidate = None
-    for m in range(1, max_modulus + 1):
+    for m in range(1, min(max_modulus + 1, n)):
         if _consistent_period(exponents, m):
             candidate = m
             if n >= 2 * m:

@@ -181,6 +181,12 @@ class TestFit:
         assert result.exit_code == 0
         assert "period = " in result.output
 
+    def test_non_product_series_fits_deep(self):
+        # exponents of a non-product series grow ~12x per 10 terms
+        result = run("fit", "--bracket", "1,1,1", "-N", "120")
+        assert result.exit_code == 0
+        assert result.output.endswith("period = none (no period <= 64)\n")
+
     def test_json(self):
         result = run("fit", "--even", "0,1", "-N", "20", "--format", "json")
         data = json.loads(result.output)

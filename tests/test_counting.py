@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from colorparts.congruence import parse_residue_spec
 from colorparts.counting import (
     CountTable,
+    _sweep_row,
     brute_force_count,
     count_admissible,
     dimension,
     prefix_pair_counts,
 )
-from colorparts.lattice import WeightVector
+from colorparts.lattice import WeightVector, initial_maxima, row_template
 from colorparts.qseries import expand
 
 APPENDIX_01 = (1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9, 10, 12, 14, 17, 19, 23, 26, 31)
@@ -133,6 +134,41 @@ class TestKernelProperties:
         assert table.counts == series.coeffs[1:]
 
 
+class TestKernelLayout:
+    # row 0 of each bracket reaches its level, which a radix of only the
+    # level would carry into the next slot
+    BRACKETS = [(1, 0), (0, 1), (2, 0, 0, 0, 0), (0, 0, 1, 0, 2), (1, 1, 1)]
+
+    @pytest.mark.parametrize("bracket", BRACKETS)
+    def test_row_zero_key_is_initial_maxima_in_radix_level_plus_one(self, bracket):
+        wv = WeightVector(bracket)
+        radix = wv.k_total + 1
+        assert max(initial_maxima(wv)) == wv.k_total
+        key = sum(m * radix**t for t, m in enumerate(initial_maxima(wv)))
+        assert _sweep_row({0: 1}, 0, wv.k_total, row_template(0, wv)) == {key: 1}
+
+    @pytest.mark.parametrize("bracket", BRACKETS)
+    def test_top_total_at_every_degree(self, bracket):
+        # each n_max puts its top total at budget 0, the last limb kept
+        wv = WeightVector(bracket)
+        deep = count_admissible(wv, 10).counts
+        for n_max in range(1, 11):
+            table = count_admissible(wv, n_max)
+            assert table == brute_force_count(wv, n_max), n_max
+            assert table.counts == deep[:n_max]
+
+    @pytest.mark.parametrize("ks", [(2,), (1, 2), (2, 0, 1)])
+    def test_final_row_is_one_running_total(self, ks):
+        wv = WeightVector.from_odd((0,) + ks)
+        level = wv.k_total
+        states = _sweep_row({0: 1}, 0, level, row_template(0, wv))
+        for i in range(1, len(ks) + 1):
+            template = row_template(i, wv)
+            final = _sweep_row(states, i, level, template, final=True)
+            states = _sweep_row(states, i, level, template)
+            assert final == {0: sum(states.values())}
+
+
 class TestReversal:
     @pytest.mark.parametrize(
         "ks",
@@ -203,6 +239,11 @@ class TestPrefixDiagnostics:
             merged = prefix_pair_counts(wv, 4, merged=True)
             unmerged = prefix_pair_counts(wv, 4, merged=False)
             assert merged == unmerged
+
+    @settings(deadline=None)
+    @given(wv=small_brackets(), rows=st.integers(1, 3))
+    def test_merged_equals_unmerged_replay(self, wv, rows):
+        assert prefix_pair_counts(wv, rows) == prefix_pair_counts(wv, rows, merged=False)
 
     def test_counts_grow_with_rows(self):
         wv = WeightVector((0, 0, 1, 0, 0))

@@ -3,8 +3,36 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorparts.congruence import PeriodicProduct, parse_residue_spec
+from colorparts.congruence import PeriodicProduct, PlusFactor, parse_residue_spec
 from colorparts.qseries import Series, expand, fit_exponents
+
+
+def unit_factor_passes(coeffs, j, exponent, sign):
+    """(1 + sign*q^j)^exponent applied one unit factor at a time."""
+    out = list(coeffs)
+    for _ in range(abs(exponent)):
+        if exponent > 0:
+            out = [c + sign * out[t - j] if t >= j else c for t, c in enumerate(out)]
+        else:
+            for t in range(j, len(out)):
+                out[t] -= sign * out[t - j]
+    return out
+
+
+def euler_product(exponents, n):
+    """prod (1 - q^j)^(-e_j) to degree n by m c_m = sum_k a_k c_{m-k}.
+
+    a_k = sum_{d | k} d e_d is the logarithmic derivative, so this shares no
+    step with the factor passes of ``expand`` and ``fit_exponents``.
+    """
+    a = [0] * (n + 1)
+    for d, e in enumerate(exponents[:n], start=1):
+        for k in range(d, n + 1, d):
+            a[k] += d * e
+    c = [1] + [0] * n
+    for m in range(1, n + 1):
+        c[m] = sum(a[k] * c[m - k] for k in range(1, m + 1)) // m
+    return tuple(c)
 
 
 class TestExpand:
@@ -33,6 +61,25 @@ class TestExpand:
         with_plus = expand(parse_residue_spec("1,3,5,7 mod 8 [(+2 mod 4)]"), 24)
         rewritten = expand(PeriodicProduct(8, (0, -1, -1, -1, 1, -1, -1, -1)), 24)
         assert with_plus == rewritten
+
+    @settings(deadline=None)
+    @given(
+        modulus=st.integers(1, 6),
+        exponent=st.integers(-12, 12),
+        plus=st.integers(-12, 12),
+        degree=st.integers(0, 30),
+    )
+    def test_large_exponents_match_unit_passes(self, modulus, exponent, plus, degree):
+        # |exponent| past the binomial switch on every factor index j
+        product = PeriodicProduct(
+            modulus, (exponent,) * modulus, plus_factors=(PlusFactor(1, 2, plus),)
+        )
+        coeffs = [1] + [0] * degree
+        for j in range(1, degree + 1):
+            coeffs = unit_factor_passes(coeffs, j, exponent, -1)
+            if j % 2:
+                coeffs = unit_factor_passes(coeffs, j, plus, +1)
+        assert expand(product, degree).coeffs == tuple(coeffs)
 
     def test_nonnegative_for_generating_products(self):
         rng = random.Random(6)
@@ -85,6 +132,21 @@ class TestFitExponents:
             fitted = fit_exponents(expand(product, 30))
             expected = tuple(-product.effective_exponent(j) for j in range(1, 31))
             assert fitted.exponents == expected
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=40))
+    def test_fit_rebuilds_any_unit_series(self, tail):
+        # non-product series: e_j grows roughly geometrically in j
+        series = Series((1, *tail))
+        fitted = fit_exponents(series)
+        assert euler_product(fitted.exponents, len(tail)) == series.coeffs
+
+    def test_no_vacuous_candidate_period(self):
+        # every sequence of N terms is consistent with period N
+        fitted = fit_exponents(Series((1, 2, 5, 14, 42, 132)))  # e = 2,2,6,16,50
+        assert (fitted.detected_period, fitted.candidate_period) == (None, None)
+        short = fit_exponents(Series((1, 3)))
+        assert (short.detected_period, short.candidate_period) == (None, None)
 
     def test_constant_series(self):
         fitted = fit_exponents(expand(PeriodicProduct(1, (0,)), 12))
