@@ -21,20 +21,18 @@ from .lattice import WeightVector
 __all__ = ["CountCache", "cached_count"]
 
 
+def _key(wv: WeightVector, n_max: int) -> dict:
+    """The record an entry is filed under; its sorted JSON names the file."""
+    return {"algorithm": ALGORITHM_VERSION, "bracket": list(wv.bracket), "n_max": n_max}
+
+
 class CountCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, wv: WeightVector, n_max: int) -> Path:
-        payload = json.dumps(
-            {
-                "algorithm": ALGORITHM_VERSION,
-                "bracket": list(wv.bracket),
-                "n_max": n_max,
-            },
-            sort_keys=True,
-        )
+        payload = json.dumps(_key(wv, n_max), sort_keys=True)
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         return self.root / f"{digest}.json"
 
@@ -60,13 +58,7 @@ class CountCache:
     def store(self, wv: WeightVector, n_max: int, table: CountTable) -> None:
         path = self._path(wv, n_max)
         payload = json.dumps(
-            {
-                "algorithm": ALGORITHM_VERSION,
-                "bracket": list(wv.bracket),
-                "n_max": n_max,
-                "counts": list(table.counts),
-            },
-            sort_keys=True,
+            {**_key(wv, n_max), "counts": list(table.counts)}, sort_keys=True
         )
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:

@@ -1,14 +1,12 @@
 """Residue schemes and periodic-product representations.
 
 The product side of every identity handled by this package is an infinite
-product of binomial factors (1 - q^j), possibly with a few (1 + q^j) factors,
-whose exponents depend only on j modulo a fixed m.  Such products arise here
-from two sources:
-
-* the structured character products for odd and even array widths, built from
-  an ascending scheme and its congruence triangle, and
-* :func:`parse_residue_spec`, a small text notation that lists residue
-  classes directly, e.g. ``"odd; 2,4,5,6,8 mod 10"``.
+product of factors (1 - q^j), possibly with a few (1 + q^j) factors, whose
+exponents depend only on j modulo a fixed m.  Such products come from the
+character products for odd and even array widths (built from an ascending
+scheme and its congruence triangle) or from :func:`parse_residue_spec`, a
+text notation that lists residue classes directly, e.g.
+``"odd; 2,4,5,6,8 mod 10"``.
 
 Sign convention: a *negative* exponent generates partitions, so every class
 listed in the text notation contributes a factor (1 - q^j)^-1 for each j in
@@ -20,15 +18,13 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 from .lattice import _int_tuple
 
 __all__ = [
-    "Scheme",
-    "CongruenceTriangle",
     "PlusFactor",
     "PeriodicProduct",
     "ResidueSpecError",
@@ -50,61 +46,24 @@ def _checked_seed(seed: Sequence[int]) -> tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class Scheme:
-    """Ascending positive integers with a palindromic increment word.
+def build_scheme(seed: Sequence[int]) -> tuple[int, ...]:
+    """Ascending scheme of a seed (s_0, ..., s_l).
 
-    Built from a seed (s_0, ..., s_l): the values start at s_0 and increase
-    by s_1, ..., s_l, s_l, ..., s_1 in turn, giving 2l+1 values that end at
-    2*(s_0 + ... + s_l) - s_0.
+    The values start at s_0 and increase by s_1, ..., s_l, s_l, ..., s_1 in
+    turn, giving 2l+1 values that end at 2*(s_0 + ... + s_l) - s_0.
     """
-
-    values: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-
-def build_scheme(seed: Sequence[int]) -> Scheme:
-    """Return the ascending scheme generated by ``seed``."""
     s = _checked_seed(seed)
-    increments = s[1:] + s[:0:-1]
-    values = [s[0]]
-    for step in increments:
-        values.append(values[-1] + step)
-    return Scheme(tuple(values))
+    return tuple(accumulate(s[1:] + s[:0:-1], initial=s[0]))
 
 
-@dataclass(frozen=True)
-class CongruenceTriangle:
-    """Multiset union of the nested schemes of a seed (s_1, ..., s_l).
+def build_triangle(seed: Sequence[int]) -> tuple[int, ...]:
+    """Congruence triangle of a seed (s_1, ..., s_l), sorted.
 
-    The union of build_scheme(s_r, ..., s_l) over r = 1..l has
-    (2l-1) + (2l-3) + ... + 1 = l**2 members counted with multiplicity.
+    The multiset union of build_scheme(s_r, ..., s_l) over r = 1..l, which
+    has (2l-1) + (2l-3) + ... + 1 = l**2 members counted with multiplicity.
     """
-
-    values: tuple[int, ...]  # sorted, multiplicity preserved
-
-    def counter(self) -> Counter:
-        return Counter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-
-def build_triangle(seed: Sequence[int]) -> CongruenceTriangle:
-    """Return the congruence triangle of ``seed``."""
     s = _checked_seed(seed)
-    values: list[int] = []
-    for r in range(len(s)):
-        values.extend(build_scheme(s[r:]).values)
-    return CongruenceTriangle(tuple(sorted(values)))
+    return tuple(sorted(v for r in range(len(s)) for v in build_scheme(s[r:])))
 
 
 @dataclass(frozen=True)
@@ -172,25 +131,31 @@ class PeriodicProduct:
         when ``global_odd`` is zero or the modulus is even.
         """
         if self.global_odd and self.modulus % 2:
-            raise ValueError(
-                "odd-j factor is not class-constant for an odd modulus"
-            )
-        return tuple(
-            self.effective_exponent(r if r else self.modulus)
-            for r in range(self.modulus)
-        )
+            raise ValueError("odd-j factor is not class-constant for an odd modulus")
+        m = self.modulus
+        return tuple(self.effective_exponent(r or m) for r in range(m))
 
 
-def _checked_weights(ks: Sequence[int], min_rank: int) -> tuple[int, ...]:
+def _character_product(ks: Sequence[int], odd_width: bool) -> PeriodicProduct:
     weights = _int_tuple(ks)
     rank = len(weights) - 1
+    min_rank = 2 if odd_width else 1
     if rank < min_rank:
         raise ValueError(f"need at least {min_rank + 1} weight entries, got {weights}")
     if any(x < 0 for x in weights):
         raise ValueError(f"weight entries must be nonnegative, got {weights}")
     if sum(weights) == 0:
         raise ValueError("total level must be positive")
-    return weights
+    modulus = 2 * rank + 2 * sum(weights) + (2 if odd_width else 1)
+    exps = [0] * modulus
+    exps[0] += rank
+    if odd_width:
+        for a in build_scheme(tuple(x + 1 for x in weights)):
+            exps[a % modulus] += 1
+    for b in build_triangle(tuple(x + 1 for x in weights[1:])):
+        exps[b % modulus] += 1
+        exps[-b % modulus] += 1
+    return PeriodicProduct(modulus, tuple(exps), -rank, -1 if odd_width else 0)
 
 
 def lepowsky_product(ks: Sequence[int]) -> PeriodicProduct:
@@ -202,20 +167,7 @@ def lepowsky_product(ks: Sequence[int]) -> PeriodicProduct:
     b = -b (mod m) count twice.  The denominator contributes one factor for
     every odd j and l factors for every j.
     """
-    weights = _checked_weights(ks, min_rank=2)
-    rank = len(weights) - 1
-    level = sum(weights)
-    modulus = 2 * rank + 2 * level + 2
-    exps = [0] * modulus
-    exps[0] += rank
-    for a in build_scheme(tuple(x + 1 for x in weights)):
-        exps[a % modulus] += 1
-    for b in build_triangle(tuple(x + 1 for x in weights[1:])):
-        exps[b % modulus] += 1
-        exps[-b % modulus] += 1
-    return PeriodicProduct(
-        modulus, tuple(exps), global_all=-rank, global_odd=-1
-    )
+    return _character_product(ks, odd_width=True)
 
 
 def even_width_product(ks: Sequence[int]) -> PeriodicProduct:
@@ -224,16 +176,7 @@ def even_width_product(ks: Sequence[int]) -> PeriodicProduct:
     Same shape as :func:`lepowsky_product` but with odd modulus 2l + 2k + 1,
     no scheme term and no odd-j denominator factor.
     """
-    weights = _checked_weights(ks, min_rank=1)
-    rank = len(weights) - 1
-    level = sum(weights)
-    modulus = 2 * rank + 2 * level + 1
-    exps = [0] * modulus
-    exps[0] += rank
-    for b in build_triangle(tuple(x + 1 for x in weights[1:])):
-        exps[b % modulus] += 1
-        exps[-b % modulus] += 1
-    return PeriodicProduct(modulus, tuple(exps), global_all=-rank, global_odd=0)
+    return _character_product(ks, odd_width=False)
 
 
 class ResidueSpecError(ValueError):
@@ -244,56 +187,39 @@ class ResidueSpecError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<word>[A-Za-z]+)|(?P<punct>[;,()\[\]^+-])"
+# One pattern per clause of the grammar below.  Each is matched where the
+# previous clause ended and skips its own leading whitespace; a keyword must
+# not run on into more letters ("mod5" is "mod 5", "modulo" is no keyword).
+_BAD_CHAR = re.compile(r"[^\s\dA-Za-z;,()\[\]^+-]")
+_SPACE = re.compile(r"\s*")
+_GLOBALS = re.compile(
+    r"\s*((?:all|odd)(?![A-Za-z])(?:\s*,\s*(?:all|odd)(?![A-Za-z]))*)\s*;"
 )
+_CLASSES = re.compile(r"\s*(\d+(?:\s*,\s*\d+)*)")
+_MOD = re.compile(r"\s*mod(?![A-Za-z])\s*(\d+)")
+_OPEN = re.compile(r"\s*\[")
+# A "^" must start a full exponent, so "(+1 mod 2)^x" fails as one clause.
+_PLUS = re.compile(
+    r"\s*\(\s*\+\s*(\d+)\s*mod(?![A-Za-z])\s*(\d+)\s*\)"
+    r"(?:\s*\^\s*(-?)\s*(\d+)|(?!\s*\^))"
+)
+_CLOSE = re.compile(r"\s*\]")
+_END = re.compile(r"\s*\Z")
+_INT = re.compile(r"\d+")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ResidueSpecError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    return tokens
+def _expected(text: str, pos: int, what: str) -> ResidueSpecError:
+    return ResidueSpecError(f"expected {what}", _SPACE.match(text, pos).end())
 
 
-class _SpecParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ResidueSpecError("unexpected end of input", len(self.text))
-        self.index += 1
-        return tok
-
-    def expect(self, kind: str, value: str | None = None) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            wanted = value if value is not None else kind
-            raise ResidueSpecError(f"expected {wanted!r}, got {tok[1]!r}", tok[2])
-        return tok
-
-    def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.peek()
-        return (
-            tok is not None
-            and tok[0] == kind
-            and (value is None or tok[1] == value)
-        )
+def _number(match: re.Match, group: int, modulus: int = 0) -> int:
+    """The group as a modulus (>= 1), or as a residue reduced mod ``modulus``."""
+    value, position = int(match[group]), match.start(group)
+    if not modulus and value < 1:
+        raise ResidueSpecError("modulus must be >= 1", position)
+    if modulus and value >= modulus:
+        raise ResidueSpecError(f"residue {value} not reduced mod {modulus}", position)
+    return value
 
 
 def parse_residue_spec(text: str) -> PeriodicProduct:
@@ -311,90 +237,53 @@ def parse_residue_spec(text: str) -> PeriodicProduct:
     as do the ``all`` and ``odd`` globals.  Classes may be omitted when only
     global factors are wanted ("odd, odd; mod 6").  Residues must be reduced
     (0 <= r < modulus).
+
+    Errors raise :class:`ResidueSpecError` with an offset into ``text``.  A
+    character outside the spec alphabet is reported first, at that character.
+    A clause that does not match ("expected ...") is reported at the first
+    non-blank character where it should start, so ``"odd 1 mod 5"`` fails at
+    0 and a cut-off spec at ``len(text)``.  A modulus below 1 or an unreduced
+    residue is reported at that number; a plus factor is checked as soon as it
+    is read, the classes last.
     """
-    p = _SpecParser(text)
-    n_all = n_odd = 0
-    if p.at("word", "all") or p.at("word", "odd"):
-        while True:
-            tok = p.next()
-            if tok[1] == "all":
-                n_all += 1
-            elif tok[1] == "odd":
-                n_odd += 1
-            else:
-                raise ResidueSpecError(
-                    f"expected 'all' or 'odd', got {tok[1]!r}", tok[2]
-                )
-            if p.at("punct", ","):
-                p.next()
-                continue
-            break
-        p.expect("punct", ";")
-
-    classes: list[tuple[int, int]] = []  # (residue, position)
-    if p.at("int"):
-        tok = p.next()
-        classes.append((int(tok[1]), tok[2]))
-        while p.at("punct", ","):
-            p.next()
-            tok = p.expect("int")
-            classes.append((int(tok[1]), tok[2]))
-
-    p.expect("word", "mod")
-    mod_tok = p.expect("int")
-    modulus = int(mod_tok[1])
-    if modulus < 1:
-        raise ResidueSpecError("modulus must be >= 1", mod_tok[2])
+    if (bad := _BAD_CHAR.search(text)) is not None:
+        raise ResidueSpecError(f"unexpected character {bad.group()!r}", bad.start())
+    n_all = n_odd = pos = 0
+    globals_ = _GLOBALS.match(text)
+    if globals_ is not None:
+        n_all, n_odd = globals_[1].count("all"), globals_[1].count("odd")
+        pos = globals_.end()
+    classes = _CLASSES.match(text, pos)
+    if classes is not None:
+        pos = classes.end()
+    mod = _MOD.match(text, pos)
+    if mod is None:
+        raise _expected(text, pos, "[globals ';'] [classes] 'mod' INT")
+    modulus = _number(mod, 1)
+    pos = mod.end()
 
     plus_factors: list[PlusFactor] = []
-    if p.at("punct", "["):
-        p.next()
-        while not p.at("punct", "]"):
-            p.expect("punct", "(")
-            p.expect("punct", "+")
-            r_tok = p.expect("int")
-            p.expect("word", "mod")
-            m_tok = p.expect("int")
-            p.expect("punct", ")")
-            exponent = 1
-            if p.at("punct", "^"):
-                p.next()
-                sign = 1
-                if p.at("punct", "-"):
-                    p.next()
-                    sign = -1
-                e_tok = p.expect("int")
-                exponent = sign * int(e_tok[1])
-            plus_mod = int(m_tok[1])
-            plus_res = int(r_tok[1])
-            if plus_mod < 1:
-                raise ResidueSpecError("modulus must be >= 1", m_tok[2])
-            if plus_res >= plus_mod:
-                raise ResidueSpecError(
-                    f"residue {plus_res} not reduced mod {plus_mod}", r_tok[2]
-                )
-            plus_factors.append(PlusFactor(plus_res, plus_mod, exponent))
-        p.expect("punct", "]")
-
-    trailing = p.peek()
-    if trailing is not None:
-        raise ResidueSpecError(f"unexpected token {trailing[1]!r}", trailing[2])
+    bracket = _OPEN.match(text, pos)
+    if bracket is not None:
+        pos = bracket.end()
+        while (close := _CLOSE.match(text, pos)) is None:
+            plus = _PLUS.match(text, pos)
+            if plus is None:
+                raise _expected(text, pos, "'(+r mod m)' or ']'")
+            plus_mod = _number(plus, 2)
+            residue = _number(plus, 1, plus_mod)
+            exponent = int(plus[3] + plus[4]) if plus[4] else 1
+            plus_factors.append(PlusFactor(residue, plus_mod, exponent))
+            pos = plus.end()
+        pos = close.end()
+    if _END.match(text, pos) is None:
+        raise _expected(text, pos, "end of spec")
 
     exps = [0] * modulus
-    for residue, position in classes:
-        if residue >= modulus:
-            raise ResidueSpecError(
-                f"residue {residue} not reduced mod {modulus}", position
-            )
-        exps[residue] -= 1
-
-    return PeriodicProduct(
-        modulus,
-        tuple(exps),
-        global_all=-n_all,
-        global_odd=-n_odd,
-        plus_factors=tuple(plus_factors),
-    )
+    if classes is not None:
+        for residue in _INT.finditer(text, classes.start(1), classes.end(1)):
+            exps[_number(residue, 0, modulus)] -= 1
+    return PeriodicProduct(modulus, tuple(exps), -n_all, -n_odd, tuple(plus_factors))
 
 
 def residue_class_text(modulus: int, multiplicities: Sequence[int]) -> str:
@@ -407,7 +296,5 @@ def residue_class_text(modulus: int, multiplicities: Sequence[int]) -> str:
         raise ValueError("need one multiplicity per residue class")
     if any(m < 0 for m in multiplicities):
         raise ValueError("class multiplicities must be nonnegative")
-    labels: list[str] = []
-    for r in range(modulus):
-        labels.extend([str(r)] * multiplicities[r])
+    labels = [str(r) for r in range(modulus) for _ in range(multiplicities[r])]
     return f"{','.join(labels)} mod {modulus}" if labels else f"mod {modulus}"

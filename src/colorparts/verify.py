@@ -12,12 +12,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .cache import CountCache, cached_count
 from .congruence import PeriodicProduct, even_width_product, lepowsky_product
 from .counting import CountTable
-from .lattice import WeightVector
+from .lattice import WeightVector, _bounded_compositions
 from .qseries import ExponentSequence, expand, fit_exponents
 
 __all__ = [
@@ -141,15 +141,6 @@ def verify_weight(
     )
 
 
-def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
 def sweep_weights(width: int, k_total: int) -> list[tuple[int, ...]]:
     """Sugar weights of one conjecture family, sorted lexicographically.
 
@@ -158,20 +149,18 @@ def sweep_weights(width: int, k_total: int) -> list[tuple[int, ...]]:
     """
     if k_total < 1:
         raise ValueError("k_total must be >= 1")
+    if width % 2 and width < 5:
+        raise ValueError("odd-width sweeps need width >= 5")
+    if width < 2:
+        raise ValueError("width must be >= 2")
+    # rank + 1 = width // 2 + 1 entries summing to k_total: the last one is
+    # whatever the first rank leave over
+    weights = [
+        head + (k_total - sum(head),)
+        for head in _bounded_compositions(width // 2, k_total)
+    ]
     if width % 2:
-        if width < 5:
-            raise ValueError("odd-width sweeps need width >= 5")
-        rank = (width - 1) // 2
-        weights = [
-            ks
-            for ks in _compositions(k_total, rank + 1)
-            if ks >= tuple(reversed(ks))
-        ]
-    else:
-        if width < 2:
-            raise ValueError("width must be >= 2")
-        rank = width // 2
-        weights = list(_compositions(k_total, rank + 1))
+        weights = [ks for ks in weights if ks >= ks[::-1]]
     return sorted(weights)
 
 

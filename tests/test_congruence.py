@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorparts.congruence import (
     PeriodicProduct,
@@ -21,19 +22,19 @@ from known_identities import EVEN_ROWS, ODD_ROWS
 
 class TestScheme:
     def test_worked_example(self):
-        assert build_scheme((3, 2, 1, 1, 2)).values == (3, 5, 6, 7, 9, 11, 12, 13, 15)
+        assert build_scheme((3, 2, 1, 1, 2)) == (3, 5, 6, 7, 9, 11, 12, 13, 15)
 
     def test_singleton(self):
-        assert build_scheme((2,)).values == (2,)
+        assert build_scheme((2,)) == (2,)
 
     def test_unit_increments(self):
-        assert build_scheme((3, 1, 1)).values == (3, 4, 5, 6, 7)
+        assert build_scheme((3, 1, 1)) == (3, 4, 5, 6, 7)
 
     def test_structure_invariants(self):
         rng = random.Random(7)
         for _ in range(100):
             seed = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 6)))
-            values = build_scheme(seed).values
+            values = build_scheme(seed)
             rank = len(seed) - 1
             assert len(values) == 2 * rank + 1
             assert values[0] == seed[0]
@@ -54,13 +55,13 @@ class TestTriangle:
         expected = Counter(
             [2, 3, 4, 6, 8, 9, 10] + [1, 2, 4, 6, 7] + [1, 3, 5] + [2]
         )
-        assert triangle.counter() == expected
+        assert Counter(triangle) == expected
 
     def test_single_row(self):
-        assert build_triangle((4,)).values == (4,)
+        assert build_triangle((4,)) == (4,)
 
     def test_tiny(self):
-        assert build_triangle((1, 1)).values == (1, 1, 2, 3)
+        assert build_triangle((1, 1)) == (1, 1, 2, 3)
 
     def test_cardinality_exhaustive(self):
         # all seeds with rank <= 5 and entries in 1..4
@@ -82,9 +83,9 @@ class TestTriangle:
         rng = random.Random(11)
         for _ in range(100):
             seed = tuple(rng.randint(1, 5) for _ in range(rng.randint(2, 6)))
-            outer = build_scheme(seed).values
+            outer = build_scheme(seed)
             inner = tuple(v - seed[0] for v in outer[1:-1])
-            assert inner == build_scheme(seed[1:]).values
+            assert inner == build_scheme(seed[1:])
 
 
 ODD_WORKED_NETS = (0, -3, -1, -2, -2, -3, -1, -3, -2, -2, -2, -3, -1, -3, -2, -2, -1, -3)
@@ -196,20 +197,91 @@ class TestParseResidueSpec:
         assert squared.plus_factors == (PlusFactor(2, 4, 2), PlusFactor(0, 3, -1))
 
     def test_unreduced_residue_position(self):
-        with pytest.raises(ResidueSpecError) as err:
-            parse_residue_spec("1,12 mod 10")
-        assert err.value.position == 2
+        for text, message, position in [
+            ("1,12 mod 10", "residue 12 not reduced mod 10", 2),
+            ("17 mod 5", "residue 17 not reduced mod 5", 0),
+            ("1 mod 0", "modulus must be >= 1", 6),
+            ("all; 1 mod 5 [(+7 mod 4)]", "residue 7 not reduced mod 4", 16),
+            ("mod 5 [(+1 mod 0)]", "modulus must be >= 1", 15),
+        ]:
+            with pytest.raises(ResidueSpecError) as err:
+                parse_residue_spec(text)
+            assert err.value.position == position
+            assert str(err.value) == f"{message} (at position {position})"
 
     def test_malformed_inputs(self):
-        for bad in ["", "mod", "1,2", "odd 1 mod 5", "1;2 mod 5", "1 mod 5 x",
-                    "1 mod 0", "all; 1 mod 5 [(+7 mod 4)]", "1 mod 5 [(2 mod 3)]"]:
-            with pytest.raises(ResidueSpecError):
+        # a syntax error points at the first non-blank character of the
+        # clause that fails to match
+        for bad, position in [
+            ("", 0), ("mod", 0), ("1,2", 3), ("odd 1 mod 5", 0), ("1;2 mod 5", 1),
+            ("1 mod 5 x", 8), ("1 mod 0", 6), ("all; 1 mod 5 [(+7 mod 4)]", 16),
+            ("1 mod 5 [(2 mod 3)]", 9), ("mod 5 [(+1 mod 2)^x]", 7), ("1 mod 5 @", 8),
+        ]:
+            with pytest.raises(ResidueSpecError) as err:
                 parse_residue_spec(bad)
+            assert err.value.position == position
 
     def test_whitespace_insensitive(self):
         a = parse_residue_spec("odd;2,4 mod 10")
         b = parse_residue_spec("  odd ;  2 , 4   mod 10 ")
         assert a == b
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_grammar_specs_parse_to_their_draws(self, data):
+        blank = st.sampled_from(["", " ", "  ", "\t", " \t "])
+
+        def join(tokens):
+            # random whitespace around every token, none of it required
+            return "".join(data.draw(blank) + t for t in tokens) + data.draw(blank)
+
+        modulus = data.draw(st.integers(1, 12), label="modulus")
+        words = data.draw(st.lists(st.sampled_from(["all", "odd"]), max_size=3))
+        classes = data.draw(st.lists(st.integers(0, modulus - 1), max_size=5))
+        plus = data.draw(st.lists(st.tuples(
+            st.integers(1, 6).flatmap(lambda m: st.tuples(st.integers(0, m - 1), st.just(m))),
+            st.sampled_from(["", "^", "^-"]),
+            st.integers(0, 3),
+        ), max_size=3))
+        tokens = []
+        if words:
+            tokens += [t for w in words for t in (w, ",")][:-1] + [";"]
+        tokens += [t for r in classes for t in (str(r), ",")][:-1] + ["mod", str(modulus)]
+        factors = []
+        if plus or data.draw(st.booleans()):
+            tokens.append("[")
+            for (r, m), form, e in plus:
+                tokens += ["(", "+", str(r), "mod", str(m), ")"]
+                if form:
+                    tokens += ["^"] + (["-"] if form == "^-" else []) + [str(e)]
+                factors.append(PlusFactor(r, m, -e if form == "^-" else e if form else 1))
+            tokens.append("]")
+        exps = [0] * modulus
+        for r in classes:
+            exps[r] -= 1
+        expected = PeriodicProduct(
+            modulus, tuple(exps), -words.count("all"), -words.count("odd"), tuple(factors)
+        )
+        assert parse_residue_spec(join(tokens)) == expected
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        tokens=st.lists(
+            st.sampled_from(
+                ["all", "odd", "mod", ";", ",", "(", ")", "[", "]", "^", "+", "-", " ", "x"]
+                + [str(d) for d in range(10)]
+            ),
+            max_size=16,
+        )
+    )
+    def test_any_alphabet_string_parses_or_reports_a_position(self, tokens):
+        text = "".join(tokens)
+        try:
+            product = parse_residue_spec(text)
+        except ResidueSpecError as err:
+            assert 0 <= err.position <= len(text)
+        else:
+            assert isinstance(product, PeriodicProduct)
 
 
 class TestPeriodicProduct:
@@ -259,6 +331,17 @@ class TestResidueClassText:
         text = residue_class_text(10, multiplicities)
         product = parse_residue_spec(text)
         assert tuple(-e for e in product.residue_exponents) == multiplicities
+
+    @settings(deadline=None)
+    @given(
+        multiplicities=st.integers(1, 30).flatmap(
+            lambda m: st.lists(st.integers(0, 3), min_size=m, max_size=m)
+        )
+    )
+    def test_any_classes_round_trip(self, multiplicities):
+        modulus = len(multiplicities)
+        product = parse_residue_spec(residue_class_text(modulus, multiplicities))
+        assert product == PeriodicProduct(modulus, tuple(-m for m in multiplicities))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

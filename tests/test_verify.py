@@ -253,6 +253,16 @@ class TestCache:
         assert direct.counts == first.counts == second.counts
         assert len(list(tmp_path.iterdir())) == 1
 
+    def test_entry_file_name_is_pinned(self, tmp_path):
+        # sha256 of the sorted JSON key {algorithm, bracket, n_max}, as cached
+        # under ALGORITHM_VERSION "frontier-2"; any other name would turn every
+        # existing entry into a miss without a version bump
+        cache = CountCache(tmp_path)
+        cached_count(WeightVector((0, 1)), 12, cache)
+        assert [entry.name for entry in tmp_path.iterdir()] == [
+            "5b04db90b779c6af6d2a1ff9fe4b17a7890335afa78a7d52a0b28f74d8f46f7c.json"
+        ]
+
     def test_corrupt_entries_are_recomputed(self, tmp_path):
         cache = CountCache(tmp_path)
         wv = WeightVector((0, 1))
