@@ -90,7 +90,9 @@ class PeriodicProduct:
         prod_{j >= 1} (1 - q^j)^(global_all + [j odd]*global_odd + E(j mod m))
         * prod_{(r, m', e)} prod_{j >= 1, j = r mod m'} (1 + q^j)^e
 
-    where E is ``residue_exponents`` indexed by residues 0..m-1.
+    where E is ``residue_exponents`` indexed by residues 0..m-1.  Since
+    (1 + q^j) = (1 - q^(2j)) / (1 - q^j), the whole product is also
+    prod_{j >= 1} (1 - q^j)^(E_j); :meth:`factor_exponents` lists those E_j.
     """
 
     modulus: int
@@ -110,8 +112,9 @@ class PeriodicProduct:
 
     @property
     def period(self) -> int:
-        """Period of the factor exponents in j: the lcm of the modulus, 2 if
-        the odd-j factor is present, and every plus-factor modulus."""
+        """Period in j of the exponents as written: the lcm of the modulus, 2
+        if the odd-j factor is present, and every plus-factor modulus.  Twice
+        it is a period of the folded :meth:`factor_exponents`."""
         moduli = [pf.modulus for pf in self.plus_factors]
         return math.lcm(self.modulus, 2 if self.global_odd else 1, *moduli)
 
@@ -123,6 +126,20 @@ class PeriodicProduct:
         if j % 2:
             e += self.global_odd
         return e
+
+    def factor_exponents(self, n: int) -> tuple[int, ...]:
+        """Exponents E_1..E_n of (1 - q^j) with every (1 + q^j)^e folded in.
+
+        A plus factor (r, m', e) moves e from E_j to E_2j for each j = r
+        (mod m'); E_2j is dropped past n, where it cannot reach degree n.
+        """
+        exps = [self.effective_exponent(j) for j in range(1, n + 1)]
+        for pf in self.plus_factors:
+            for j in range(pf.residue or pf.modulus, n + 1, pf.modulus):
+                exps[j - 1] -= pf.exponent
+                if 2 * j <= n:
+                    exps[2 * j - 1] += pf.exponent
+        return tuple(exps)
 
     def net_residue_exponents(self) -> tuple[int, ...]:
         """Per-class exponents with globals folded in.
@@ -212,9 +229,17 @@ def _expected(text: str, pos: int, what: str) -> ResidueSpecError:
     return ResidueSpecError(f"expected {what}", _SPACE.match(text, pos).end())
 
 
+def _bounded(match: re.Match, group: int) -> int:
+    """The group's digits as an int; past 10**6 refused before conversion."""
+    digits = match[group].lstrip("0")
+    if (len(digits), digits) > (7, "1000000"):  # int(digits) > 10**6, unconverted
+        raise ResidueSpecError("number must be <= 1000000", match.start(group))
+    return int(digits or 0)
+
+
 def _number(match: re.Match, group: int, modulus: int = 0) -> int:
     """The group as a modulus (>= 1), or as a residue reduced mod ``modulus``."""
-    value, position = int(match[group]), match.start(group)
+    value, position = _bounded(match, group), match.start(group)
     if not modulus and value < 1:
         raise ResidueSpecError("modulus must be >= 1", position)
     if modulus and value >= modulus:
@@ -242,9 +267,9 @@ def parse_residue_spec(text: str) -> PeriodicProduct:
     character outside the spec alphabet is reported first, at that character.
     A clause that does not match ("expected ...") is reported at the first
     non-blank character where it should start, so ``"odd 1 mod 5"`` fails at
-    0 and a cut-off spec at ``len(text)``.  A modulus below 1 or an unreduced
-    residue is reported at that number; a plus factor is checked as soon as it
-    is read, the classes last.
+    0 and a cut-off spec at ``len(text)``.  A number above 10**6, a modulus
+    below 1 or an unreduced residue is reported at that number; a plus factor
+    is checked as soon as it is read, the classes last.
     """
     if (bad := _BAD_CHAR.search(text)) is not None:
         raise ResidueSpecError(f"unexpected character {bad.group()!r}", bad.start())
@@ -272,7 +297,7 @@ def parse_residue_spec(text: str) -> PeriodicProduct:
                 raise _expected(text, pos, "'(+r mod m)' or ']'")
             plus_mod = _number(plus, 2)
             residue = _number(plus, 1, plus_mod)
-            exponent = int(plus[3] + plus[4]) if plus[4] else 1
+            exponent = (-1 if plus[3] else 1) * _bounded(plus, 4) if plus[4] else 1
             plus_factors.append(PlusFactor(residue, plus_mod, exponent))
             pos = plus.end()
         pos = close.end()

@@ -26,7 +26,7 @@ from .lattice import (
     row_template,
 )
 from .congruence import PeriodicProduct
-from .qseries import Series, expand
+from .qseries import expand
 
 __all__ = [
     "ALGORITHM_VERSION",
@@ -62,10 +62,6 @@ class CountTable:
 
     def pairs(self) -> list[list[int]]:
         return [[n, self.counts[n - 1]] for n in range(1, self.n_max + 1)]
-
-    def to_series(self) -> Series:
-        """Generating function 1 + sum P(n) q^n as a truncated series."""
-        return Series((1,) + self.counts)
 
 
 def _sweep_row(
@@ -134,7 +130,7 @@ def count_admissible(wv: WeightVector, n_max: int) -> CountTable:
     # #{j <= w : j = v mod 2} colours for part v, so no coefficient outgrows
     # the largest of those counts.
     colored = expand(PeriodicProduct(2, (-(w // 2), -((w + 1) // 2))), n_max)
-    bits = max(colored.coeffs).bit_length()
+    bits = max(colored).bit_length()
     states = {0: 1 << n_max * bits}  # every maximum is 0 before row 0
     tally = 0
     i = 0

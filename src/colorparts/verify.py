@@ -136,7 +136,7 @@ def verify_weight(
         status=status,
         first_mismatch=first_mismatch,
         counts=table,
-        coefficients=series.coeffs[1:],
+        coefficients=series[1:],
         runtime_seconds=time.perf_counter() - started,
     )
 
@@ -205,4 +205,4 @@ def fit_weight(
 ) -> tuple[CountTable, ExponentSequence]:
     """Count, then fit the exponent sequence of the generating function."""
     table = cached_count(wv, n_max, cache)
-    return table, fit_exponents(table.to_series(), max_modulus=max_modulus)
+    return table, fit_exponents((1,) + table.counts, max_modulus=max_modulus)

@@ -94,6 +94,15 @@ class TestVerify:
         result = run("verify", "--even", "1,0", "-N", "10", "--spec", "17 mod 5")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("spec", [
+        "1" * 5000 + " mod 5", "mod 5 [(+1 mod 2)^" + "1" * 5000 + "]",
+        "1 mod 100000000000000000000",
+    ])
+    def test_huge_spec_number_exit_two(self, spec):
+        result = run("verify", "--even", "0,1", "-N", "5", "--spec", spec)
+        assert result.exit_code == 2
+        assert "number must be <= 1000000 (at position" in result.output
+
     def test_under_sampled_period_exit_one(self):
         # degree below the product modulus: agreement alone is not "verified"
         result = run("verify", "--even", "2,1,0,0,1", "-N", "10", "--auto")

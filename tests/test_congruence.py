@@ -155,9 +155,9 @@ class TestCatalogProducts:
 
     def test_catalog_expansions_nonnegative_to_30(self):
         for weights, _ in ODD_ROWS:
-            assert min(expand(lepowsky_product(weights), 30).coeffs) >= 0
+            assert min(expand(lepowsky_product(weights), 30)) >= 0
         for weights, _ in EVEN_ROWS:
-            assert min(expand(even_width_product(weights), 30).coeffs) >= 0
+            assert min(expand(even_width_product(weights), 30)) >= 0
 
 
 class TestParseResidueSpec:
@@ -220,6 +220,18 @@ class TestParseResidueSpec:
             with pytest.raises(ResidueSpecError) as err:
                 parse_residue_spec(bad)
             assert err.value.position == position
+        # numbers past 10**6 are refused where they start, before conversion
+        ones = "1" * 5000
+        for bad, position in [
+            (f"{ones} mod 5", 0), (f"mod 5 [(+1 mod 2)^{ones}]", 18),
+            (f"mod 5 [(+1 mod 2)^-{ones}]", 19), ("1 mod 100000000000000000000", 6),
+            ("1 mod 1000001", 6), (f"1 mod 5 [(+{ones} mod 7)]", 11),
+        ]:
+            with pytest.raises(ResidueSpecError) as err:
+                parse_residue_spec(bad)
+            assert err.value.position == position
+            assert str(err.value) == f"number must be <= 1000000 (at position {position})"
+        assert parse_residue_spec("1 mod 0001000000").modulus == 10**6
 
     def test_whitespace_insensitive(self):
         a = parse_residue_spec("odd;2,4 mod 10")
@@ -270,7 +282,9 @@ class TestParseResidueSpec:
             st.sampled_from(
                 ["all", "odd", "mod", ";", ",", "(", ")", "[", "]", "^", "+", "-", " ", "x"]
                 + [str(d) for d in range(10)]
-            ),
+            )
+            # digit runs past the 4,300-digit limit of int(str)
+            | st.builds(str.__mul__, st.sampled_from("0123456789"), st.integers(1, 5000)),
             max_size=16,
         )
     )
@@ -291,6 +305,16 @@ class TestPeriodicProduct:
         assert product.effective_exponent(2) == -1
         assert product.effective_exponent(3) == -4
         assert product.effective_exponent(4) == -1
+
+    def test_factor_exponents_fold_plus_factors(self):
+        # (1 + q^j) = (1 - q^2j) / (1 - q^j) over odd j: period 4, not 2
+        product = PeriodicProduct(1, (0,), plus_factors=(PlusFactor(1, 2, 1),))
+        assert product.factor_exponents(8) == (-1, 1, -1, 0, -1, 1, -1, 0)
+        # E_2j past n is dropped; globals and classes come first
+        product = PeriodicProduct(3, (0, -1, 0), global_odd=-1,
+                                  plus_factors=(PlusFactor(0, 3, -2),))
+        assert product.factor_exponents(7) == (-2, 0, 1, -1, -1, 0, -2)
+        assert product.factor_exponents(0) == ()
 
     def test_net_exponents_need_even_modulus_for_odd_global(self):
         with pytest.raises(ValueError):

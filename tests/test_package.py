@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import colorparts
 
@@ -15,3 +17,16 @@ def test_every_exported_name_exists():
     namespace = {}
     exec("from colorparts import *", namespace)
     assert set(colorparts.__all__) <= namespace.keys()
+
+
+def test_readme_library_snippet_runs_as_commented():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    snippet = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S)[1]
+    namespace = {}
+    exec(snippet, namespace)
+    table, series = namespace["table"], namespace["series"]
+    assert table[20] == 15204
+    assert namespace["product"].modulus == 17
+    assert namespace["report"].status == "verified"
+    assert isinstance(series, tuple) and len(series) == 21
+    assert series[1:] == table.counts

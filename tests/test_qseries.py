@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorparts.congruence import PeriodicProduct, PlusFactor, parse_residue_spec
-from colorparts.qseries import Series, expand, fit_exponents
+from colorparts.qseries import expand, fit_exponents
 
 
 def unit_factor_passes(coeffs, j, exponent, sign):
@@ -38,18 +38,18 @@ def euler_product(exponents, n):
 class TestExpand:
     def test_rogers_ramanujan_classes(self):
         series = expand(parse_residue_spec("1,4 mod 5"), 10)
-        assert series.coeffs == (1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6)
+        assert series == (1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6)
 
     def test_empty_product(self):
         series = expand(PeriodicProduct(1, (0,)), 5)
-        assert series.coeffs == (1, 0, 0, 0, 0, 0)
+        assert series == (1, 0, 0, 0, 0, 0)
 
     def test_single_color_partitions(self):
         series = expand(PeriodicProduct(1, (-1,)), 6)
-        assert series.coeffs == (1, 1, 2, 3, 5, 7, 11)
+        assert series == (1, 1, 2, 3, 5, 7, 11)
 
     def test_degree_zero(self):
-        assert expand(PeriodicProduct(1, (-1,)), 0).coeffs == (1,)
+        assert expand(PeriodicProduct(1, (-1,)), 0) == (1,)
 
     def test_factors_beyond_truncation_are_ignored(self):
         # the (1 - q^5)^-3 factor cannot reach degree 4
@@ -79,7 +79,7 @@ class TestExpand:
             coeffs = unit_factor_passes(coeffs, j, exponent, -1)
             if j % 2:
                 coeffs = unit_factor_passes(coeffs, j, plus, +1)
-        assert expand(product, degree).coeffs == tuple(coeffs)
+        assert expand(product, degree) == tuple(coeffs)
 
     def test_nonnegative_for_generating_products(self):
         rng = random.Random(6)
@@ -91,20 +91,39 @@ class TestExpand:
                 global_all=rng.randint(-2, 0),
                 global_odd=rng.randint(-2, 0),
             )
-            assert min(expand(product, 30).coeffs) >= 0
+            assert min(expand(product, 30)) >= 0
 
 
 @st.composite
 def products_and_degrees(draw):
-    """A product without plus factors and a degree N >= 2 * its period."""
+    """A product with 0-3 plus factors and a degree N <= 40, with N >= 2 * its
+    period when it has no plus factors."""
     modulus = draw(st.integers(1, 8))
+    plus = draw(st.lists(st.tuples(
+        st.integers(1, 6).flatmap(lambda m: st.tuples(st.integers(0, m - 1), st.just(m))),
+        st.integers(-3, 3),
+    ), max_size=3))
     product = PeriodicProduct(
         modulus,
         tuple(draw(st.lists(st.integers(-2, 2), min_size=modulus, max_size=modulus))),
         global_all=draw(st.integers(-2, 0)),
         global_odd=draw(st.integers(-2, 0)),
+        plus_factors=tuple(PlusFactor(r, m, e) for (r, m), e in plus),
     )
-    return product, draw(st.integers(2 * product.period, 40))
+    return product, draw(st.integers(0 if plus else 2 * product.period, 40))
+
+
+def consistent_period(exponents, m):
+    """Reference period rule: e_j depends only on j mod m over j = 1..N."""
+    seen = {}
+    for j, e in enumerate(exponents, start=1):
+        r = j % m
+        if r in seen:
+            if seen[r] != e:
+                return False
+        else:
+            seen[r] = e
+    return True
 
 
 class TestFitExponents:
@@ -113,11 +132,32 @@ class TestFitExponents:
     def test_fit_inverts_expand(self, case):
         product, n = case
         fitted = fit_exponents(expand(product, n))
-        assert fitted.exponents == tuple(
-            -product.effective_exponent(j) for j in range(1, n + 1)
-        )
-        # N >= 2 * period, so by Fine-Wilf the smallest period divides it
-        assert product.period % fitted.detected_period == 0
+        assert fitted.exponents == tuple(-e for e in product.factor_exponents(n))
+        if not product.plus_factors:
+            # N >= 2 * period, so by Fine-Wilf the smallest period divides it;
+            # a folded plus factor may only repeat at twice its modulus
+            assert product.period % fitted.detected_period == 0
+
+    @settings(deadline=None)
+    @given(
+        block=st.lists(st.integers(-2, 2), min_size=1, max_size=8),
+        n=st.integers(0, 40),
+        change=st.none() | st.tuples(st.integers(0, 39), st.integers(-2, 2)),
+    )
+    def test_period_rule_matches_reference(self, block, n, change):
+        exponents = [block[t % len(block)] for t in range(n)]
+        if change is not None and change[0] < n:
+            exponents[change[0]] = change[1]
+        series = euler_product(exponents, n)
+        for max_modulus in range(1, 11):
+            expected = None, None
+            for m in range(1, min(max_modulus + 1, n)):
+                if consistent_period(exponents, m):
+                    expected = (m if n >= 2 * m else None), m
+                    break
+            fitted = fit_exponents(series, max_modulus=max_modulus)
+            assert fitted.exponents == tuple(exponents)
+            assert (fitted.detected_period, fitted.candidate_period) == expected
 
     def test_roundtrip_random_products(self):
         rng = random.Random(8)
@@ -137,15 +177,15 @@ class TestFitExponents:
     @given(st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=40))
     def test_fit_rebuilds_any_unit_series(self, tail):
         # non-product series: e_j grows roughly geometrically in j
-        series = Series((1, *tail))
+        series = (1, *tail)
         fitted = fit_exponents(series)
-        assert euler_product(fitted.exponents, len(tail)) == series.coeffs
+        assert euler_product(fitted.exponents, len(tail)) == series
 
     def test_no_vacuous_candidate_period(self):
         # every sequence of N terms is consistent with period N
-        fitted = fit_exponents(Series((1, 2, 5, 14, 42, 132)))  # e = 2,2,6,16,50
+        fitted = fit_exponents((1, 2, 5, 14, 42, 132))  # e = 2,2,6,16,50
         assert (fitted.detected_period, fitted.candidate_period) == (None, None)
-        short = fit_exponents(Series((1, 3)))
+        short = fit_exponents((1, 3))
         assert (short.detected_period, short.candidate_period) == (None, None)
 
     def test_constant_series(self):
@@ -173,8 +213,9 @@ class TestFitExponents:
         assert fitted.candidate_period is None
 
     def test_requires_unit_constant(self):
-        with pytest.raises(ValueError):
-            fit_exponents(Series((2, 1, 1)))
+        for series in [(2, 1, 1), (), []]:
+            with pytest.raises(ValueError):
+                fit_exponents(series)
 
     def test_reproduces_series(self):
         series = expand(parse_residue_spec("odd; 2,4,5,6,8 mod 10"), 18)
