@@ -85,7 +85,17 @@ cache_option = click.option(
     default=None,
     help=f"Count-table cache directory (or ${CACHE_ENV_VAR}).",
 )
-n_option = click.option("-N", "n_max", type=int, required=True, help="Top degree.")
+
+
+def _bounded_n(ctx, param, value: int) -> int:
+    if value > 10**6:  # the cap on spec numbers, so no table outgrows memory
+        raise click.UsageError("-N must be <= 1000000")
+    return value
+
+
+n_option = click.option(
+    "-N", "n_max", type=int, required=True, callback=_bounded_n, help="Top degree."
+)
 
 
 @click.group()

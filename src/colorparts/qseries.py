@@ -2,15 +2,17 @@
 
 :func:`expand` and :func:`fit_exponents` deal only in exponents of (1 - q^j):
 a factor (1 + q^j)^e is folded in as (1 - q^(2j))^e (1 - q^j)^-e (see
-:meth:`PeriodicProduct.factor_exponents`).  Each factor is applied by an
-in-place sweep rather than generic multiplication, which keeps the expansion
-of a periodic product linear in N per factor.
+:meth:`PeriodicProduct.factor_exponents`).  A factor (1 - q^j)^e is applied
+in place to a series 1 + O(q^j), as :func:`expand` (j = N down to 1) and
+:func:`fit_exponents` (j = 1 up to N) keep it: c_j moves, c_(j+1)..c_(2j-1)
+stay, and only c_(2j)..c_N are rewritten, by at most sqrt(N) slice operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from itertools import accumulate
+from operator import add, mul, sub
 from typing import Sequence
 
 from .congruence import PeriodicProduct
@@ -21,25 +23,35 @@ __all__ = ["ExponentSequence", "expand", "fit_exponents"]
 def _apply_unit_factor(coeffs: list[int], j: int, exponent: int) -> None:
     """Multiply ``coeffs`` by (1 - q^j)^exponent in place, truncated.
 
-    One pass per unit of |exponent|, or, past the measured break-even of
-    4 + terms/2 passes for (n-1)//j terms, one with weights C(exponent, k) (-1)^k.
+    Requires c_0 = 1 and c_1..c_(j-1) = 0.  One pass per unit of |exponent|
+    (a divide sums down the j residue chains if j^2 <= n, else block by block),
+    or, past the measured break-even of 4 + terms/2 passes for (n-1)//j terms,
+    one with weights C(exponent, k) (-1)^k.  A no-op when j >= n.
     """
     n = len(coeffs)
+    if j >= n:
+        return
     terms = (n - 1) // j
     if abs(exponent) > 4 + terms // 2:
         b = [1]
         for k in range(1, terms + 1):
             b.append(-b[-1] * (exponent - k + 1) // k)
-        for t in range(n - 1, j - 1, -1):
+        for t in range(n - 1, 2 * j - 1, -1):
             coeffs[t] = sum(map(mul, b, coeffs[t::-j]))
-    elif exponent >= 0:
+        coeffs[j] += b[1]
+    elif exponent > 0:
         for _ in range(exponent):
-            for t in range(n - 1, j - 1, -1):
-                coeffs[t] -= coeffs[t - j]
+            coeffs[2 * j:] = map(sub, coeffs[2 * j:], coeffs[j:n - j])
+            coeffs[j] -= 1
+    elif j * j <= n:
+        for _ in range(-exponent):
+            for r in range(j):
+                coeffs[r::j] = accumulate(coeffs[r::j])
     else:
         for _ in range(-exponent):
-            for t in range(j, n):
-                coeffs[t] += coeffs[t - j]
+            coeffs[j] += 1
+            for s in range(2 * j, n, j):
+                coeffs[s:s + j] = map(add, coeffs[s:s + j], coeffs[s - j:s])
 
 
 def expand(product: PeriodicProduct, degree: int) -> tuple[int, ...]:
@@ -47,9 +59,9 @@ def expand(product: PeriodicProduct, degree: int) -> tuple[int, ...]:
     if degree < 0:
         raise ValueError("truncation degree must be >= 0")
     coeffs = [1] + [0] * degree
-    for j, e in enumerate(product.factor_exponents(degree), start=1):
-        if e:
-            _apply_unit_factor(coeffs, j, e)
+    exponents = product.factor_exponents(degree)
+    for j in range(degree, 0, -1):  # descending j keeps coeffs = 1 + O(q^j)
+        _apply_unit_factor(coeffs, j, exponents[j - 1])
     return tuple(coeffs)
 
 
@@ -88,10 +100,8 @@ def fit_exponents(series: Sequence[int], max_modulus: int = 64) -> ExponentSeque
     n = len(residual) - 1
     exponents: list[int] = []
     for j in range(1, n + 1):
-        e = residual[j]
-        exponents.append(e)
-        if e:
-            _apply_unit_factor(residual, j, e)
+        exponents.append(residual[j])
+        _apply_unit_factor(residual, j, residual[j])
     detected = candidate = None
     for m in range(1, min(max_modulus + 1, n)):
         if all(exponents[t] == exponents[t - m] for t in range(m, n)):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -192,6 +191,9 @@ def run_sweep(
     # for more workers than tasks or cores.
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that runs without a pool never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_task, tasks))
     return [_sweep_task(task) for task in tasks]

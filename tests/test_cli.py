@@ -33,6 +33,23 @@ def test_version_without_installed_package():
     assert result.output.endswith(f"version {__version__}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--even", "0,1"],
+    ["verify", "--even", "0,1", "--auto"],
+    ["sweep", "-w", "2", "-k", "1"],
+    ["fit", "--even", "0,1"],
+], ids=lambda argv: argv[0])
+def test_n_above_cap_is_usage_error(argv):
+    # the cap matches the spec-number cap
+    for n in ["1000001", "5000000000000"]:
+        result = run(*argv, "-N", n)
+        assert result.exit_code == 2
+        assert result.output.endswith("Error: -N must be <= 1000000\n")
+    # 10**6 itself passes the cap and reaches the command's own checks
+    capped = run("count", "--bracket", "0,0", "-N", "1000000")
+    assert capped.exit_code == 2 and "-N must be" not in capped.output
+
+
 class TestCount:
     def test_text_golden(self):
         result = run("count", "--even", "0,1", "-N", "6")

@@ -1,6 +1,8 @@
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import colorparts
@@ -30,3 +32,17 @@ def test_readme_library_snippet_runs_as_commented():
     assert namespace["report"].status == "verified"
     assert isinstance(series, tuple) and len(series) == 21
     assert series[1:] == table.counts
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only a sweep with --jobs > 1 needs the pool, so only it pays the import
+    src = Path(colorparts.__file__).parents[1]
+    code = (
+        "import sys, colorparts.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"

@@ -3,7 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorparts.congruence import PeriodicProduct, PlusFactor, parse_residue_spec
+from colorparts.congruence import (
+    PeriodicProduct,
+    PlusFactor,
+    even_width_product,
+    parse_residue_spec,
+)
 from colorparts.qseries import expand, fit_exponents
 
 
@@ -33,6 +38,25 @@ def euler_product(exponents, n):
     for m in range(1, n + 1):
         c[m] = sum(a[k] * c[m - k] for k in range(1, m + 1)) // m
     return tuple(c)
+
+
+@st.composite
+def mixed_products(draw):
+    """Per-class exponents in -12..12, nonzero globals and 0-3 plus factors
+    of either sign."""
+    modulus = draw(st.integers(1, 8))
+    nonzero = st.integers(-3, 3).filter(bool)
+    plus = draw(st.lists(st.tuples(
+        st.integers(1, 6).flatmap(lambda m: st.tuples(st.integers(0, m - 1), st.just(m))),
+        nonzero,
+    ), max_size=3))
+    return PeriodicProduct(
+        modulus,
+        tuple(draw(st.lists(st.integers(-12, 12), min_size=modulus, max_size=modulus))),
+        global_all=draw(nonzero),
+        global_odd=draw(nonzero),
+        plus_factors=tuple(PlusFactor(r, m, e) for (r, m), e in plus),
+    )
 
 
 class TestExpand:
@@ -80,6 +104,33 @@ class TestExpand:
             if j % 2:
                 coeffs = unit_factor_passes(coeffs, j, plus, +1)
         assert expand(product, degree) == tuple(coeffs)
+
+    @settings(deadline=None)
+    @given(product=mixed_products(), degree=st.integers(0, 60))
+    def test_descending_passes_match_ascending_reference(self, product, degree):
+        # expand applies j = degree down to 1; the reference goes up, one
+        # unit factor at a time, with plus factors as (1 + q^j) passes
+        coeffs = [1] + [0] * degree
+        for j in range(1, degree + 1):
+            coeffs = unit_factor_passes(coeffs, j, product.effective_exponent(j), -1)
+            for pf in product.plus_factors:
+                if j % pf.modulus == pf.residue:
+                    coeffs = unit_factor_passes(coeffs, j, pf.exponent, +1)
+        assert expand(product, degree) == tuple(coeffs)
+
+    @pytest.mark.parametrize("product", [
+        even_width_product((2, 1, 0, 0, 1)),  # mod 17, exponents -3..0
+        PeriodicProduct(2, (-5, -5)),  # 10-colored partitions, |e| = 5
+    ], ids=["mod17", "colored-w10"])
+    def test_deep_expansion_matches_euler_recurrence(self, product):
+        # at N = 600 divides run down residue chains for j <= 24 and block by
+        # block above; |e| = 5 takes the binomial pass for j > 300, and the
+        # fit multiplies back exponents up to 5
+        n = 600
+        exponents = tuple(-e for e in product.factor_exponents(n))
+        series = expand(product, n)
+        assert series == euler_product(exponents, n)
+        assert fit_exponents(series).exponents == exponents
 
     def test_nonnegative_for_generating_products(self):
         rng = random.Random(6)

@@ -198,7 +198,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("colorparts.verify.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr("colorparts.verify.os.cpu_count", lambda: 4)
         reports = run_sweep(2, 2, 10, jobs=10_000)  # 3 weights
         assert sizes == [3]
