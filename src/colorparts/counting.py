@@ -2,12 +2,14 @@
 
 One kernel, :func:`_sweep_row`, advances running path maxima, packed into
 one int in radix level + 1, across a diagonal row one cell at a time (the
-transfer-matrix method with a moving frontier).  :func:`count_admissible`
-packs each state's coefficients into one int (Kronecker substitution), total
-s at limb N - s; :func:`prefix_pair_counts`, and through it
-:func:`dimension`, uses plain multiplicities.  A brute-force enumerator
-filtered by explicit path checking is the independent oracle and shares no
-code with the kernel.
+transfer-matrix method with a moving frontier).  A state's moves through a
+cell depend only on the cell and two of its maxima, so they are read from
+tables that each count owns and fills on first use, in runs of key deltas.
+:func:`count_admissible` packs each state's coefficients into one int
+(Kronecker substitution), total s at limb N - s; :func:`prefix_pair_counts`,
+and through it :func:`dimension`, uses plain multiplicities.  A brute-force
+enumerator filtered by explicit path checking is the independent oracle and
+shares no code with the kernel.
 """
 
 from __future__ import annotations
@@ -64,11 +66,33 @@ class CountTable:
         return [[n, self.counts[n - 1]] for n in range(1, self.n_max + 1)]
 
 
+def _moves(base, prev, fixed, radix, slot, place):
+    """(scale, head, tail): the key deltas max(m, prev) + m * place + lift.
+
+    A prescribed cell has the one move m = base + k.  A free cell's ``tail``
+    runs over m >= max(base, prev) and its ``head`` over base <= m < prev,
+    except in a final row (place 0), where those m all land on ``tail[0]``:
+    ``scale`` = prev - base extra weights.
+    """
+    lift = -base - prev * slot
+    if fixed is not None:
+        m = base + fixed
+        return 0, (), ((max(m, prev) + m * place + lift,) if m < radix else ())
+    step = 1 + place
+    tail = range(max(base, prev) * step + lift, radix * step + lift, step)
+    if prev <= base:
+        return 0, (), tail
+    if place:
+        return 0, range(prev + base * place + lift, prev * step + lift, place), tail
+    return prev - base, (), tail
+
+
 def _sweep_row(
     states: dict[int, int],
     i: int,
     level: int,
     template: Sequence[Optional[int]],
+    moves: Optional[dict] = None,
     bits: int = 0,
     final: bool = False,
 ) -> dict[int, int]:
@@ -84,30 +108,50 @@ def _sweep_row(
     slot t is written as 0 once m_t is placed, and the row returns ``{0:
     total}``: its maxima are never read, and later cells read only slot 0
     and the slots above t.
+
+    Moves come from tables keyed by base * R + prev and filled on first use;
+    ``moves`` maps (t, k) to a table and carries them between the rows of one
+    count.  A row drops tables no later row reads: those of columns it
+    prescribes differently, and in a final row each one after its column.
+    An entry is at most two ``range`` runs, so no entry grows with the level.
     """
     radix = level + 1
+    moves = {} if moves is None else moves
+    for stale in moves.keys() - set(enumerate(template, start=1)):
+        del moves[stale]
     frontier = {key * radix: weight for key, weight in states.items()}
     for t, fixed in enumerate(template, start=1):
-        shift = (2 * i - t) * bits
+        shift = max(2 * i - t, 0) * bits  # 0 at prescribed cells: part 0
         slot = radix**t
         place = 0 if final else slot  # what one unit of m_t adds to the key
+        table = {} if final else moves.setdefault((t, fixed), {})
         grown: dict[int, int] = {}
+        get = grown.get
         for key, weight in frontier.items():
-            base = key % radix
-            prev = key // slot % radix
-            rest = key - base - prev * slot
-            if fixed is not None:
-                m = base + fixed
-                if m <= level:
-                    nxt = rest + (m if m > prev else prev) + m * place
-                    grown[nxt] = grown.get(nxt, 0) + weight
-                continue
-            for m in range(base, level + 1):
-                nxt = rest + (m if m > prev else prev) + m * place
-                grown[nxt] = grown.get(nxt, 0) + weight
+            try:
+                scale, head, tail = table[key % radix * radix + key // slot % radix]
+            except KeyError:
+                base, prev = key % radix, key // slot % radix
+                entry = _moves(base, prev, fixed, radix, slot, place)
+                scale, head, tail = table[base * radix + prev] = entry
+            if scale:
+                nxt = key + tail[0]
+                grown[nxt] = get(nxt, 0) + weight * scale
+            for d in head:
+                nxt = key + d
+                have = get(nxt)  # a new key takes weight itself, not a copy
+                grown[nxt] = weight if have is None else have + weight
                 weight >>= shift
                 if not weight:
                     break
+            else:
+                for d in tail:
+                    nxt = key + d
+                    have = get(nxt)
+                    grown[nxt] = weight if have is None else have + weight
+                    weight >>= shift
+                    if not weight:
+                        break
         frontier = grown
     out: dict[int, int] = {}
     for key, weight in frontier.items():
@@ -134,8 +178,9 @@ def count_admissible(wv: WeightVector, n_max: int) -> CountTable:
     states = {0: 1 << n_max * bits}  # every maximum is 0 before row 0
     tally = 0
     i = 0
+    moves: dict = {}
     while states:
-        states = _sweep_row(states, i, wv.k_total, row_template(i, wv), bits)
+        states = _sweep_row(states, i, wv.k_total, row_template(i, wv), moves, bits)
         i += 1
         low = (1 << max(0, 2 * i - w) * bits) - 1  # budgets below row i's parts
         tally += sum(weight & low for weight in states.values())
@@ -254,10 +299,11 @@ def prefix_pair_counts(
     level = wv.k_total
     out: list[int] = []
     if merged:
-        states = _sweep_row({0: 1}, 0, level, row_template(0, wv))
+        moves: dict = {}
+        states = _sweep_row({0: 1}, 0, level, row_template(0, wv), moves)
         for i in range(1, rows + 1):
             template = row_template(i, wv)
-            states = _sweep_row(states, i, level, template, final=i == rows)
+            states = _sweep_row(states, i, level, template, moves, final=i == rows)
             out.append(sum(states.values()))
     else:
         pairs: list[tuple[int, tuple[int, ...]]] = [(0, initial_maxima(wv))]

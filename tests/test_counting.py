@@ -1,9 +1,10 @@
+import time
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorparts.congruence import parse_residue_spec
+from colorparts.congruence import PeriodicProduct, parse_residue_spec
 from colorparts.counting import (
     CountTable,
     _sweep_row,
@@ -128,6 +129,32 @@ class TestKernelProperties:
         table = count_admissible(WeightVector(bracket), 300)
         series = expand(parse_residue_spec(spec), 300)
         assert table.counts == series[1:]
+
+    @settings(deadline=None)
+    @given(wv=small_brackets(), n=st.integers(1, 12), d=st.integers(1, 8))
+    def test_deeper_count_extends_the_table(self, wv, n, d):
+        # a larger N widens the limbs and reaches more parts per free cell
+        assert count_admissible(wv, n).counts == count_admissible(wv, n + d).counts[:n]
+
+
+class TestLargeLevels:
+    # the move tables must not grow with the level: each input stays cheap
+    def test_width_two_counts_are_partition_numbers(self):
+        started = time.perf_counter()
+        table = count_admissible(WeightVector((0, 5000)), 30)
+        assert time.perf_counter() - started < 2.0
+        assert table.counts == expand(PeriodicProduct(1, (-1,)), 30)[1:]
+
+    def test_rank_one_dimension_at_level_one_million(self):
+        started = time.perf_counter()
+        assert dimension((10**6,)) == 10**6 + 1
+        assert time.perf_counter() - started < 2.0
+
+    def test_rank_two_uniform_dimension_at_level_three_hundred(self):
+        # uniform weights give (k + 1)^(r^2), as for (2, 2, 2, 2, 2)
+        started = time.perf_counter()
+        assert dimension((300, 300)) == 301**4
+        assert time.perf_counter() - started < 2.0
 
 
 class TestKernelLayout:
