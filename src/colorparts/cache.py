@@ -8,7 +8,7 @@ key wins with a complete file either way.
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import json
 import os
 import tempfile
@@ -32,6 +32,8 @@ class CountCache:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, wv: WeightVector, n_max: int) -> Path:
+        import hashlib  # imported here: runs without a cache never load it
+
         payload = json.dumps(_key(wv, n_max), sort_keys=True)
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         return self.root / f"{digest}.json"
@@ -40,7 +42,7 @@ class CountCache:
         path = self._path(wv, n_max)
         try:
             data = json.loads(path.read_text("utf-8"))
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):  # RecursionError: deep nesting
             return None
         # Anything but a well-formed entry for this key is a miss.
         if not isinstance(data, dict):
@@ -60,17 +62,21 @@ class CountCache:
         payload = json.dumps(
             {**_key(wv, n_max), "counts": list(table.counts)}, sort_keys=True
         )
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        # A table that cannot be written is only a miss for the next run, so
+        # an OSError here leaves no temp file behind and does not propagate.
+        try:
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        except OSError:
+            return
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(payload)
             os.replace(tmp, path)
-        except BaseException:
-            try:
+        except BaseException as exc:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            if not isinstance(exc, OSError):
+                raise
 
 
 def cached_count(

@@ -7,8 +7,6 @@ The cache directory may also be set through COLORPARTS_CACHE_DIR.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import Optional
 
@@ -118,6 +116,9 @@ def _emit(
     elif fmt == "json":
         out = json.dumps(record, sort_keys=True)
     else:
+        import csv  # imported here: only csv output needs csv and io
+        import io
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(csv_header)
@@ -216,7 +217,10 @@ def sweep(ctx, width, k_total, n_max, jobs, fmt, cache_dir):
     """Verify every weight of a conjecture family; exit 0 iff all verify."""
     if n_max < 1 or jobs < 1:
         raise click.UsageError("-N and --jobs must be >= 1")
-    _cache(cache_dir)  # the workers open their own; fail here, not in each task
+    # Opened here so that an unusable directory is a usage error; run_sweep
+    # opens its own.  Cached weights never start workers, and the pool is
+    # never larger than the number of uncached weights.
+    _cache(cache_dir)
     try:
         reports = run_sweep(width, k_total, n_max, jobs=jobs, cache_dir=cache_dir)
     except ValueError as exc:

@@ -163,14 +163,8 @@ def sweep_weights(width: int, k_total: int) -> list[tuple[int, ...]]:
     return sorted(weights)
 
 
-def _sweep_task(args: tuple) -> VerificationReport:
-    width, sugar, n_max, cache_dir = args
-    wv = (
-        WeightVector.from_odd(sugar)
-        if width % 2
-        else WeightVector.from_even(sugar)
-    )
-    cache = CountCache(cache_dir) if cache_dir else None
+def _sweep_task(task: tuple) -> VerificationReport:
+    wv, n_max, cache = task
     return verify_weight(wv, n_max, cache=cache)
 
 
@@ -182,14 +176,21 @@ def run_sweep(
     cache_dir: Optional[str] = None,
 ) -> list[VerificationReport]:
     """Verify every weight of the family; deterministic order, optional
-    process parallelism (verifications are independent)."""
-    tasks = [
-        (width, sugar, n_max, cache_dir)
-        for sugar in sweep_weights(width, k_total)
-    ]
+    process parallelism (verifications are independent).
+
+    Cached weights never start workers, and the pool is never larger than
+    the number of uncached weights, so a warm sweep runs in-process.
+    """
+    sugars = sweep_weights(width, k_total)
+    family = WeightVector.from_odd if width % 2 else WeightVector.from_even
+    cache = CountCache(cache_dir) if cache_dir else None
+    tasks = [(family(sugar), n_max, cache) for sugar in sugars]
     # The fork start method launches every worker up front, so never ask
-    # for more workers than tasks or cores.
+    # for more workers than uncached tasks or cores.  A corrupt entry loads
+    # as a miss, so its task gets a worker too.
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1 and cache is not None:
+        workers = min(workers, sum(cache.load(wv, n_max) is None for wv, _, _ in tasks))
     if workers > 1:
         # imported here, so that runs without a pool never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor

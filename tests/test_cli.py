@@ -1,12 +1,18 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import colorparts
 from colorparts import __version__
+from colorparts.cache import CountCache
 from colorparts.cli import main
+from colorparts.lattice import WeightVector
 
 # Every command in every format, plus usage errors and --version: argv, exit
 # code and stdout, with the runtime fields normalised as bench/run.py does.
@@ -278,3 +284,36 @@ class TestCacheWiring:
         assert "--cache-dir is not a usable directory" in result.output
         assert result.stdout == ""
 
+    def test_unwritable_entry_is_not_fatal(self, tmp_path):
+        # a directory where the entry file goes: the count still prints, and
+        # the failed write leaves no temp file behind
+        CountCache(tmp_path)._path(WeightVector((0, 1)), 12).mkdir()
+        cached = run("count", "--bracket", "0,1", "-N", "12", "--cache-dir", str(tmp_path))
+        bare = run("count", "--bracket", "0,1", "-N", "12")
+        assert (cached.exit_code, cached.stdout) == (0, bare.stdout)
+        assert [entry.is_dir() for entry in tmp_path.iterdir()] == [True]
+
+    def test_warm_sweep_runs_in_process(self, tmp_path):
+        # the warm run prints what the cold run printed and never loads the pool
+        code = (
+            "import sys\n"
+            "from colorparts.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:], prog_name='colorparts')\n"
+            "finally:\n"
+            "    pool = ('concurrent.futures.process', 'multiprocessing')\n"
+            "    print([m for m in pool if m in sys.modules], file=sys.stderr)\n"
+        )
+        argv = ["sweep", "-w", "4", "-k", "2", "-N", "15", "--jobs", "2",
+                "--format", "json", "--cache-dir", str(tmp_path)]
+        env = {k: v for k, v in os.environ.items() if k != "COLORPARTS_CACHE_DIR"}
+        cold, warm = (
+            subprocess.run(
+                [sys.executable, "-c", code, *argv], cwd=Path(colorparts.__file__).parents[1],
+                env=env, capture_output=True, text=True,
+            )
+            for _ in range(2)
+        )
+        assert cold.returncode == warm.returncode == 0
+        assert RUNTIME_JSON.sub("_", warm.stdout) == RUNTIME_JSON.sub("_", cold.stdout)
+        assert warm.stderr == "[]\n"

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,6 +215,40 @@ class TestSweep:
             r.to_dict() | {"runtime_seconds": 0} for r in parallel
         ]
 
+    def test_warm_sweep_starts_no_pool(self, tmp_path, monkeypatch):
+        cold = run_sweep(4, 2, 15, jobs=2, cache_dir=str(tmp_path))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a fully cached sweep started a process pool")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        warm = run_sweep(4, 2, 15, jobs=2, cache_dir=str(tmp_path))
+        assert [_stripped(r) for r in warm] == [_stripped(r) for r in cold]
+
+    def test_pool_is_sized_to_the_misses(self, tmp_path, monkeypatch):
+        cold = run_sweep(4, 2, 15, cache_dir=str(tmp_path))
+        cache = CountCache(tmp_path)
+        deleted, corrupt = (cache._path(WeightVector(r.bracket), 15) for r in cold[1:3])
+        deleted.unlink()
+        corrupt.write_text("not json")
+        sizes = []
+
+        def serial_pool(max_workers):
+            sizes.append(max_workers)
+            return contextlib.nullcontext(SimpleNamespace(map=map))
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", serial_pool)
+        monkeypatch.setattr("colorparts.verify.os.cpu_count", lambda: 4)
+        warm = run_sweep(4, 2, 15, jobs=4, cache_dir=str(tmp_path))
+        assert sizes == [2]
+        assert [_stripped(r) for r in warm] == [_stripped(r) for r in cold]
+        assert json.loads(corrupt.read_text())["counts"] == list(cold[2].counts.counts)
+        assert cache.load(WeightVector(cold[1].bracket), 15) == cold[1].counts
+
+
+def _stripped(report) -> dict:
+    return report.to_dict() | {"runtime_seconds": 0}
+
 
 class TestFitWeight:
     def test_rogers_ramanujan_recovery(self):
@@ -279,6 +315,8 @@ class TestCache:
             {"counts": ["x", 1, 1]},
             {"counts": [1, None, 1]},
             {"counts": [1.5, -3, True]},
+            # nesting deeper than the JSON decoder's recursion limit
+            pytest.param("[" * 100000, id="deep-nesting"),
         ],
     )
     def test_malformed_entries_are_misses(self, tmp_path, payload):
@@ -288,7 +326,7 @@ class TestCache:
         entry = next(tmp_path.iterdir())
         if isinstance(payload, dict):
             payload = {"bracket": [0, 1], "n_max": 3, **payload}
-        entry.write_text(json.dumps(payload))
+        entry.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         assert cache.load(wv, 3) is None
         assert cached_count(wv, 3, cache).counts == (1, 1, 1)
         assert json.loads(entry.read_text())["counts"] == [1, 1, 1]
