@@ -217,9 +217,9 @@ def sweep(ctx, width, k_total, n_max, jobs, fmt, cache_dir):
     """Verify every weight of a conjecture family; exit 0 iff all verify."""
     if n_max < 1 or jobs < 1:
         raise click.UsageError("-N and --jobs must be >= 1")
-    # Opened here so that an unusable directory is a usage error; run_sweep
-    # opens its own.  Cached weights never start workers, and the pool is
-    # never larger than the number of uncached weights.
+    # Opened here so that an unusable directory is a usage error.  Workers are
+    # this process (which verifies the cached weights) and forked children, no
+    # more than uncached weights or usable cores, and this one alone without os.fork.
     _cache(cache_dir)
     try:
         reports = run_sweep(width, k_total, n_max, jobs=jobs, cache_dir=cache_dir)

@@ -9,6 +9,7 @@ when asked, in a fixed deterministic order.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -107,13 +108,23 @@ def verify_weight(
     cache: Optional[CountCache] = None,
 ) -> VerificationReport:
     """Count, expand, compare; report the first mismatch if any."""
+    return _verify(wv, n_max, product, product_source, cache)
+
+
+def _verify(
+    wv: WeightVector, n_max: int, product: Optional[PeriodicProduct] = None,
+    product_source: str = "conjecture", cache: Optional[CountCache] = None,
+    table: Optional[CountTable] = None,
+) -> VerificationReport:
+    """verify_weight, comparing against ``table`` if it is already loaded."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     started = time.perf_counter()
     if product is None:
         product = conjectured_product(wv)
         product_source = "conjecture"
-    table = cached_count(wv, n_max, cache)
+    if table is None:
+        table = cached_count(wv, n_max, cache)
     series = expand(product, n_max)
     first_mismatch = None
     for n in range(1, n_max + 1):
@@ -163,9 +174,53 @@ def sweep_weights(width: int, k_total: int) -> list[tuple[int, ...]]:
     return sorted(weights)
 
 
-def _sweep_task(task: tuple) -> VerificationReport:
-    wv, n_max, cache = task
-    return verify_weight(wv, n_max, cache=cache)
+def _usable_cores() -> int:
+    """Cores this process may run on; 1 where it cannot fork workers."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_worker(verify, share: list[int]) -> tuple[int, int]:
+    """Fork a child that pickles [verify(i) for i in share], or the error it
+    raised, into a pipe; return the child's pid and the pipe's read end."""
+    import pickle  # imported here: sweeps that fork no worker never load it
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1  # the child exits 0 only once its whole result is written
+    try:  # and never returns into its caller's frames
+        os.close(read_fd)
+        try:
+            result = [verify(i) for i in share]
+        except Exception as exc:
+            result = exc
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(result, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read_fd: int):
+    """Read a worker's pipe to EOF, then reap it: its reports or its error."""
+    import pickle
+
+    with os.fdopen(read_fd, "rb") as pipe:
+        payload = pipe.read()
+    if os.waitpid(pid, 0)[1]:
+        return RuntimeError(f"sweep worker {pid} exited without a result")
+    return pickle.loads(payload)
 
 
 def run_sweep(
@@ -178,26 +233,51 @@ def run_sweep(
     """Verify every weight of the family; deterministic order, optional
     process parallelism (verifications are independent).
 
-    Cached weights never start workers, and the pool is never larger than
-    the number of uncached weights, so a warm sweep runs in-process.
+    Cached weights are verified in the sweeping process.  The uncached ones
+    are dealt to up to ``jobs`` workers, which are forked children plus the
+    sweeping process itself, never more than the uncached weights or the
+    usable cores; without ``os.fork`` the sweep runs in one process.
     """
     sugars = sweep_weights(width, k_total)
     family = WeightVector.from_odd if width % 2 else WeightVector.from_even
+    weights = [family(sugar) for sugar in sugars]
     cache = CountCache(cache_dir) if cache_dir else None
-    tasks = [(family(sugar), n_max, cache) for sugar in sugars]
-    # The fork start method launches every worker up front, so never ask
-    # for more workers than uncached tasks or cores.  A corrupt entry loads
-    # as a miss, so its task gets a worker too.
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1 and cache is not None:
-        workers = min(workers, sum(cache.load(wv, n_max) is None for wv, _, _ in tasks))
-    if workers > 1:
-        # imported here, so that runs without a pool never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    # One load per entry: hits are compared against the loaded table, and
+    # misses are counted and stored without a second load.  A corrupt entry
+    # loads as a miss, so it is recounted and rewritten.
+    tables = [cache.load(wv, n_max) if cache else None for wv in weights]
+    misses = [i for i, table in enumerate(tables) if table is None]
+    workers = max(1, min(jobs, len(misses), _usable_cores()))
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_task, tasks))
-    return [_sweep_task(task) for task in tasks]
+    def verify(i: int) -> VerificationReport:
+        report = _verify(weights[i], n_max, table=tables[i])
+        if cache is not None and tables[i] is None:
+            cache.store(weights[i], n_max, report.counts)
+        return report
+
+    shares = [misses[r::workers] for r in range(1, workers)]
+    mine = sorted(set(range(len(weights))).difference(*shares))
+    children = []
+    reports: dict[int, VerificationReport] = {}
+    sys.stdout.flush()  # so that a child that writes cannot repeat buffered output
+    sys.stderr.flush()
+    try:
+        for share in shares:
+            children.append(_fork_worker(verify, share))
+        reports.update((i, verify(i)) for i in mine)
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        results = [_reap(pid, read_fd) for pid, read_fd in children]
+    for share, result in zip(shares, results):
+        if isinstance(result, Exception):
+            raise result
+        reports.update(zip(share, result))
+    return [reports[i] for i in range(len(weights))]
 
 
 def fit_weight(

@@ -35,13 +35,13 @@ def test_readme_library_snippet_runs_as_commented():
 
 
 def test_cli_import_leaves_process_pool_unloaded():
-    # only a sweep with --jobs > 1 needs the pool, so only it pays the import;
-    # likewise only a cache needs hashlib and only csv output needs csv
+    # no command needs a process pool, only a sweep that forks workers needs
+    # pickle, only a cache needs hashlib and only csv output needs csv
     src = Path(colorparts.__file__).parents[1]
     code = (
         "import sys, colorparts.cli; "
         "print([m for m in ('concurrent.futures.process', 'multiprocessing', "
-        "'hashlib', 'csv') if m in sys.modules])"
+        "'pickle', 'hashlib', 'csv') if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True

@@ -1,7 +1,7 @@
-import contextlib
 import json
+import os
 import tempfile
-from types import SimpleNamespace
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,27 +185,15 @@ class TestSweep:
         assert all(r.status == STATUS_VERIFIED for r in reports)
 
     def test_pool_size_is_clamped(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr("colorparts.verify.os.cpu_count", lambda: 4)
+        forks = _recorded_forks(monkeypatch)
+        _usable_cores(monkeypatch, 4)
         reports = run_sweep(2, 2, 10, jobs=10_000)  # 3 weights
+        sizes = [len(forks) + 1]
         assert sizes == [3]
         assert [r.status for r in reports] == [STATUS_VERIFIED] * 3
+        forks.clear()
         run_sweep(4, 2, 10, jobs=10_000)  # 6 weights
+        sizes.append(len(forks) + 1)
         assert sizes == [3, 4]
 
     def test_parallel_matches_serial(self):
@@ -218,10 +206,10 @@ class TestSweep:
     def test_warm_sweep_starts_no_pool(self, tmp_path, monkeypatch):
         cold = run_sweep(4, 2, 15, jobs=2, cache_dir=str(tmp_path))
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a fully cached sweep started a process pool")
+        def no_fork():
+            raise AssertionError("a fully cached sweep forked a worker")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         warm = run_sweep(4, 2, 15, jobs=2, cache_dir=str(tmp_path))
         assert [_stripped(r) for r in warm] == [_stripped(r) for r in cold]
 
@@ -231,19 +219,106 @@ class TestSweep:
         deleted, corrupt = (cache._path(WeightVector(r.bracket), 15) for r in cold[1:3])
         deleted.unlink()
         corrupt.write_text("not json")
-        sizes = []
-
-        def serial_pool(max_workers):
-            sizes.append(max_workers)
-            return contextlib.nullcontext(SimpleNamespace(map=map))
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", serial_pool)
-        monkeypatch.setattr("colorparts.verify.os.cpu_count", lambda: 4)
+        forks = _recorded_forks(monkeypatch)
+        _usable_cores(monkeypatch, 4)
         warm = run_sweep(4, 2, 15, jobs=4, cache_dir=str(tmp_path))
+        sizes = [len(forks) + 1]
         assert sizes == [2]
         assert [_stripped(r) for r in warm] == [_stripped(r) for r in cold]
         assert json.loads(corrupt.read_text())["counts"] == list(cold[2].counts.counts)
         assert cache.load(WeightVector(cold[1].bracket), 15) == cold[1].counts
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_loads_each_entry_once(self, tmp_path, monkeypatch, jobs):
+        loads = []
+        load = CountCache.load
+
+        def counted_load(self, wv, n_max):
+            loads.append(wv.bracket)
+            return load(self, wv, n_max)
+
+        monkeypatch.setattr(CountCache, "load", counted_load)
+        for warmth in ("cold", "warm"):
+            loads.clear()
+            run_sweep(4, 2, 15, jobs=jobs, cache_dir=str(tmp_path))  # 6 weights
+            assert len(loads) == 6, warmth
+
+    def test_workers_are_clamped_to_the_usable_cores(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a sweep on one usable core forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _usable_cores(monkeypatch, 1)
+        reports = run_sweep(4, 2, 10, jobs=4)
+        assert [r.status for r in reports] == [STATUS_VERIFIED] * 6
+
+    def test_error_in_a_worker_reaches_the_caller(self, monkeypatch):
+        # the second weight of three is dealt to the forked worker
+        parent, failing = os.getpid(), WeightVector.from_even((1, 1))
+
+        def count(wv, n_max, cache=None):
+            if os.getpid() != parent:
+                raise ValueError(f"cannot count {list(wv.bracket)}")
+            return count_admissible(wv, n_max)
+
+        monkeypatch.setattr("colorparts.verify.cached_count", count)
+        _usable_cores(monkeypatch, 2)
+        with pytest.raises(ValueError) as raised:
+            run_sweep(2, 2, 10, jobs=2)
+        assert raised.value.args == (f"cannot count {list(failing.bracket)}",)
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_error_in_the_sweeping_process_reaps_the_workers(self, monkeypatch):
+        parent = os.getpid()
+
+        def count(wv, n_max, cache=None):
+            if os.getpid() == parent:
+                raise ValueError("the sweeping process failed")
+            time.sleep(60)  # the worker is killed, not waited for
+
+        monkeypatch.setattr("colorparts.verify.cached_count", count)
+        _usable_cores(monkeypatch, 2)
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="the sweeping process failed"):
+            run_sweep(2, 2, 10, jobs=2)
+        assert time.perf_counter() - started < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_without_a_result_is_an_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def count(wv, n_max, cache=None):
+            if os.getpid() != parent:
+                raise ValueError(lambda: None)  # cannot be pickled
+            return count_admissible(wv, n_max)
+
+        monkeypatch.setattr("colorparts.verify.cached_count", count)
+        _usable_cores(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="exited without a result"):
+            run_sweep(2, 2, 10, jobs=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def _recorded_forks(monkeypatch) -> list:
+    """The pids of the workers forked from now on: a sweep's workers less one."""
+    forks = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
+def _usable_cores(monkeypatch, cores: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
 
 def _stripped(report) -> dict:
