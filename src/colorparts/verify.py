@@ -183,9 +183,9 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_worker(verify, share: list[int]) -> tuple[int, int]:
-    """Fork a child that pickles [verify(i) for i in share], or the error it
-    raised, into a pipe; return the child's pid and the pipe's read end."""
+def _fork_worker(work, run: int) -> tuple[int, int]:
+    """Fork a child that pickles work(run), or the error it raised, into a
+    pipe; return the child's pid and the pipe's read end."""
     import pickle  # imported here: sweeps that fork no worker never load it
 
     read_fd, write_fd = os.pipe()
@@ -202,7 +202,7 @@ def _fork_worker(verify, share: list[int]) -> tuple[int, int]:
     try:  # and never returns into its caller's frames
         os.close(read_fd)
         try:
-            result = [verify(i) for i in share]
+            result = work(run)
         except Exception as exc:
             result = exc
         with os.fdopen(write_fd, "wb") as pipe:
@@ -234,9 +234,10 @@ def run_sweep(
     process parallelism (verifications are independent).
 
     Cached weights are verified in the sweeping process.  The uncached ones
-    are dealt to up to ``jobs`` workers, which are forked children plus the
+    are shared by up to ``jobs`` workers, which are forked children plus the
     sweeping process itself, never more than the uncached weights or the
-    usable cores; without ``os.fork`` the sweep runs in one process.
+    usable cores; each takes the next uncached weight when it is done.
+    Without ``os.fork`` the sweep runs in one process.
     """
     sugars = sweep_weights(width, k_total)
     family = WeightVector.from_odd if width % 2 else WeightVector.from_even
@@ -247,7 +248,9 @@ def run_sweep(
     # loads as a miss, so it is recounted and rewritten.
     tables = [cache.load(wv, n_max) if cache else None for wv in weights]
     misses = [i for i, table in enumerate(tables) if table is None]
-    workers = max(1, min(jobs, len(misses), _usable_cores()))
+    chunk = len(misses) // 1024 + 1  # at most 1024 runs of misses
+    runs = [misses[start:start + chunk] for start in range(0, len(misses), chunk)]
+    workers = max(1, min(jobs, len(runs), _usable_cores()))
 
     def verify(i: int) -> VerificationReport:
         report = _verify(weights[i], n_max, table=tables[i])
@@ -255,16 +258,31 @@ def run_sweep(
             cache.store(weights[i], n_max, report.counts)
         return report
 
-    shares = [misses[r::workers] for r in range(1, workers)]
-    mine = sorted(set(range(len(weights))).difference(*shares))
+    if workers == 1:
+        return [verify(i) for i in range(len(weights))]
+    # Worker r starts on runs[r].  The other runs wait in a pipe as two-byte
+    # indices, and a worker that is done takes the next, so one on a slower
+    # core takes fewer.  The queue (at most 2 KiB, which any pipe holds) is
+    # filled and closed before the first fork, so an empty one reads as EOF.
+    queue, feed = os.pipe()
+    os.write(feed, b"".join(run.to_bytes(2, "big") for run in range(workers, len(runs))))
+    os.close(feed)
+
+    def work(run: int) -> dict[int, VerificationReport]:
+        """Verify ``runs[run]``, then each run read from the queue."""
+        done = {i: verify(i) for i in runs[run]}
+        while token := os.read(queue, 2):
+            done.update((i, verify(i)) for i in runs[int.from_bytes(token, "big")])
+        return done
+
     children = []
-    reports: dict[int, VerificationReport] = {}
     sys.stdout.flush()  # so that a child that writes cannot repeat buffered output
     sys.stderr.flush()
     try:
-        for share in shares:
-            children.append(_fork_worker(verify, share))
-        reports.update((i, verify(i)) for i in mine)
+        for run in range(1, workers):
+            children.append(_fork_worker(work, run))
+        reports = {i: verify(i) for i, table in enumerate(tables) if table is not None}
+        reports.update(work(0))
     except BaseException:
         import signal
 
@@ -273,10 +291,11 @@ def run_sweep(
         raise
     finally:
         results = [_reap(pid, read_fd) for pid, read_fd in children]
-    for share, result in zip(shares, results):
+        os.close(queue)
+    for result in results:
         if isinstance(result, Exception):
             raise result
-        reports.update(zip(share, result))
+        reports.update(result)
     return [reports[i] for i in range(len(weights))]
 
 

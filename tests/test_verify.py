@@ -252,6 +252,33 @@ class TestSweep:
         reports = run_sweep(4, 2, 10, jobs=4)
         assert [r.status for r in reports] == [STATUS_VERIFIED] * 6
 
+    def test_a_slow_worker_takes_fewer_weights(self, monkeypatch):
+        # a fixed split would leave the sweeping process 3 of the 6 weights
+        parent, counted = os.getpid(), []
+
+        def count(wv, n_max, cache=None):
+            if os.getpid() == parent:
+                counted.append(wv.bracket)
+                time.sleep(0.5)
+            return count_admissible(wv, n_max)
+
+        monkeypatch.setattr("colorparts.verify.cached_count", count)
+        _usable_cores(monkeypatch, 2)
+        reports = run_sweep(4, 2, 10, jobs=2)
+        assert [r.status for r in reports] == [STATUS_VERIFIED] * 6
+        assert 1 <= len(counted) <= 2
+
+    def test_a_large_sweep_is_queued_in_runs(self, monkeypatch):
+        # 3000 misses, more than the queue holds one by one: runs of three
+        sugars = [(k, 1) for k in range(3000)]
+        monkeypatch.setattr("colorparts.verify.sweep_weights", lambda width, k_total: sugars)
+        monkeypatch.setattr("colorparts.verify._verify", lambda wv, n_max, table=None: wv.bracket)
+        forks = _recorded_forks(monkeypatch)
+        _usable_cores(monkeypatch, 2)
+        brackets = run_sweep(4, 2, 10, jobs=2)
+        assert len(forks) == 1
+        assert brackets == [WeightVector.from_even(sugar).bracket for sugar in sugars]
+
     def test_error_in_a_worker_reaches_the_caller(self, monkeypatch):
         # the second weight of three is dealt to the forked worker
         parent, failing = os.getpid(), WeightVector.from_even((1, 1))
