@@ -2,14 +2,18 @@
 
 One kernel, :func:`_sweep_row`, advances running path maxima, packed into
 one int in radix level + 1, across a diagonal row one cell at a time (the
-transfer-matrix method with a moving frontier).  A state's moves through a
-cell depend only on the cell and two of its maxima, so they are read from
-tables that each count owns and fills on first use, in runs of key deltas.
-:func:`count_admissible` packs each state's coefficients into one int
-(Kronecker substitution), total s at limb N - s; :func:`prefix_pair_counts`,
-and through it :func:`dimension`, uses plain multiplicities.  A brute-force
-enumerator filtered by explicit path checking is the independent oracle and
-shares no code with the kernel.
+transfer-matrix method with a moving frontier).  A key holds only the maxima
+m_1..m_{w-1} of the first w - 1 columns: since m_{i+1,j} = f +
+max(m_{i+1,j-1}, m_{i,j-1}) (:func:`maxima_step`), row i + 1 reads row i
+only at columns 1..w-1, so states that differ only in m_w have the same
+future and merge.  A state's moves through a cell depend only on the cell
+and two of its maxima, so they are read from tables that each count owns
+and fills on first use, in runs of key deltas.  :func:`count_admissible`
+packs each state's coefficients into one int (Kronecker substitution),
+total s at limb N - s; :func:`prefix_pair_counts`, and through it
+:func:`dimension`, uses plain multiplicities.  A brute-force enumerator
+filtered by explicit path checking is the independent oracle and shares no
+code with the kernel.
 """
 
 from __future__ import annotations
@@ -98,13 +102,16 @@ def _sweep_row(
 ) -> dict[int, int]:
     """Advance ``{maxima: weight}`` across diagonal row i one cell at a time.
 
-    Keys hold maxima m_1..m_w in slots 0..w-1 of an int in radix R = level
-    + 1.  The row starts from key * R; after column t, slot 0 holds base =
-    max(m_t, prev_t), the floor of m_{t+1}, slots 1..t hold m_1..m_t and
-    slots t+1..w hold prev_{t+1}..prev_w; the row ends with key // R.  A free cell
-    takes every m in base..level, each unit of frequency shifting the weight
-    right by its part 2i - t limbs of ``bits`` bits (0: plain multiplicities);
-    a prescribed cell (part 0) takes m = base + k alone.  With ``final``,
+    Keys hold maxima m_1..m_{w-1} in slots 0..w-2 of an int in radix R =
+    level + 1.  The row starts from key * R; after column t, slot 0 holds
+    base = max(m_t, prev_t), the floor of m_{t+1}, slots 1..t hold m_1..m_t
+    and slots t+1..w hold prev_{t+1}..prev_w, with prev_w = 0.  The row ends
+    with key // R mod R**(w-1): m_{t+1} reads only m_t and prev_t, so no
+    later cell reads m_w, and prev_w = 0 changes only the base after column
+    w, which is dropped with it.  A free cell takes every m in base..level,
+    each unit of frequency shifting the weight right by its part 2i - t limbs
+    of ``bits`` bits (0: plain multiplicities); a prescribed cell (part 0)
+    takes m = base + k alone.  With ``final``,
     slot t is written as 0 once m_t is placed, and the row returns ``{0:
     total}``: its maxima are never read, and later cells read only slot 0
     and the slots above t.
@@ -154,8 +161,10 @@ def _sweep_row(
                         break
         frontier = grown
     out: dict[int, int] = {}
+    top = radix ** (len(template) - 1)  # drops m_w, which no row reads
     for key, weight in frontier.items():
-        out[key // radix] = out.get(key // radix, 0) + weight
+        key = key // radix % top
+        out[key] = out.get(key, 0) + weight
     return out
 
 

@@ -1,9 +1,11 @@
+import hashlib
 import time
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colorparts import counting
 from colorparts.congruence import PeriodicProduct, parse_residue_spec
 from colorparts.counting import (
     CountTable,
@@ -15,6 +17,7 @@ from colorparts.counting import (
 )
 from colorparts.lattice import WeightVector, initial_maxima, row_template
 from colorparts.qseries import expand
+from colorparts.verify import verify_weight
 
 APPENDIX_01 = (1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9, 10, 12, 14, 17, 19, 23, 26, 31)
 APPENDIX_10 = (0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6, 6, 8, 9, 11, 12, 15, 16, 20)
@@ -164,11 +167,40 @@ class TestKernelLayout:
 
     @pytest.mark.parametrize("bracket", BRACKETS)
     def test_row_zero_key_is_initial_maxima_in_radix_level_plus_one(self, bracket):
+        # the key keeps m_1..m_{w-1}; no row reads m_w
         wv = WeightVector(bracket)
         radix = wv.k_total + 1
+        kept = initial_maxima(wv)[:-1]
         assert max(initial_maxima(wv)) == wv.k_total
-        key = sum(m * radix**t for t, m in enumerate(initial_maxima(wv)))
+        if bracket in ((0, 1), (0, 0, 1, 0, 2)):  # k_1 = 0: the level is kept
+            assert kept[-1] == wv.k_total
+        key = sum(m * radix**t for t, m in enumerate(kept))
         assert _sweep_row({0: 1}, 0, wv.k_total, row_template(0, wv)) == {key: 1}
+
+    @settings(deadline=None)
+    @given(wv=small_brackets())
+    def test_keys_drop_the_last_maximum(self, wv):
+        level, w = wv.k_total, wv.width
+        unmerged = prefix_pair_counts(wv, 3, merged=False)
+        states = {0: 1}
+        for i in range(4):
+            states = _sweep_row(states, i, level, row_template(i, wv))
+            assert all(0 <= key < (level + 1) ** (w - 1) for key in states)
+            if i:
+                assert sum(states.values()) == unmerged[i - 1]
+
+    def test_states_that_differ_only_in_the_last_maximum_merge(self, monkeypatch):
+        # (2,1,0,0,1)^e at N=100 peaks at 495 states when m_w is kept
+        sizes = []
+
+        def spy(*args, **kwargs):
+            states = _sweep_row(*args, **kwargs)
+            sizes.append(len(states))
+            return states
+
+        monkeypatch.setattr(counting, "_sweep_row", spy)
+        count_admissible(WeightVector.from_even((2, 1, 0, 0, 1)), 100)
+        assert 0 < max(sizes) <= 330
 
     @pytest.mark.parametrize("bracket", BRACKETS)
     def test_top_total_at_every_degree(self, bracket):
@@ -190,6 +222,43 @@ class TestKernelLayout:
             final = _sweep_row(states, i, level, template, final=True)
             states = _sweep_row(states, i, level, template)
             assert final == {0: sum(states.values())}
+
+
+class TestDeepTables:
+    # beyond the oracle's reach: the product side shares no code with the
+    # kernel, and the digests pin tables counted before keys dropped m_w
+
+    def test_deep_even_weight_matches_its_product(self):
+        report = verify_weight(WeightVector.from_even((2, 1, 0, 0, 1)), 100)
+        assert report.status == "verified"
+        assert report.first_mismatch is None
+
+    # SHA-256 of P(1), ..., P(N) as ASCII decimals joined by ","
+    @pytest.mark.parametrize(
+        "wv,n_max,digest",
+        [
+            (
+                WeightVector.from_even((2, 1, 0, 0, 1)),
+                200,
+                "5c4a2b724a74186b89f7fb30de9004bcf5c8a5b270afd5e0be253cba86bd63d4",
+            ),
+            (
+                WeightVector.from_even((3, 1, 0, 0, 1)),
+                100,
+                "d8a91e64a6f3a8bf1423d7d725669734b94cea818074eeaaa991ab0c518cf476",
+            ),
+            (
+                WeightVector((2, 1, 1, 1, 0, 0, 0, 0, 0, 0)),
+                24,
+                "e44077aa5caee8b35fb33b63af569eb0d03834347b34f60ba09476a1bb2a8a96",
+            ),
+        ],
+        ids=["even-2,1,0,0,1-N200", "even-3,1,0,0,1-N100", "bracket-2,1,1,1-N24"],
+    )
+    def test_deep_tables_match_their_digests(self, wv, n_max, digest):
+        counts = count_admissible(wv, n_max).counts
+        encoded = ",".join(map(str, counts)).encode("ascii")
+        assert hashlib.sha256(encoded).hexdigest() == digest
 
 
 class TestReversal:
