@@ -217,12 +217,9 @@ def sweep(ctx, width, k_total, n_max, jobs, fmt, cache_dir):
     """Verify every weight of a conjecture family; exit 0 iff all verify."""
     if n_max < 1 or jobs < 1:
         raise click.UsageError("-N and --jobs must be >= 1")
-    # Opened here so that an unusable directory is a usage error.  Workers are
-    # this process (which verifies the cached weights) and forked children, no
-    # more than uncached weights or usable cores, and this one alone without os.fork.
-    _cache(cache_dir)
+    cache = _cache(cache_dir)
     try:
-        reports = run_sweep(width, k_total, n_max, jobs=jobs, cache_dir=cache_dir)
+        reports = run_sweep(width, k_total, n_max, jobs=jobs, cache=cache)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     verified = sum(1 for r in reports if r.status == STATUS_VERIFIED)

@@ -3,10 +3,10 @@
 One kernel, :func:`_sweep_row`, advances running path maxima, packed into
 one int in radix level + 1, across a diagonal row one cell at a time (the
 transfer-matrix method with a moving frontier).  A key holds only the maxima
-m_1..m_{w-1} of the first w - 1 columns: since m_{i+1,j} = f +
-max(m_{i+1,j-1}, m_{i,j-1}) (:func:`maxima_step`), row i + 1 reads row i
-only at columns 1..w-1, so states that differ only in m_w have the same
-future and merge.  A state's moves through a cell depend only on the cell
+m_1..m_{w-1} of the first w - 1 columns: a cell of frequency f has
+m_{i+1,j} = f + max(m_{i+1,j-1}, m_{i,j-1}), so row i + 1 reads row i only
+at columns 1..w-1, and states that differ only in m_w have the same future
+and merge.  A state's moves through a cell depend only on the cell
 and two of its maxima, so they are read from tables that each count owns
 and fills on first use, in runs of key deltas.  :func:`count_admissible`
 packs each state's coefficients into one int (Kronecker substitution),
@@ -24,9 +24,6 @@ from typing import Optional, Sequence
 from .lattice import (
     WeightVector,
     _int_tuple,
-    enumerate_row_frequencies,
-    initial_maxima,
-    maxima_step,
     path_check,
     row_parts,
     row_template,
@@ -106,9 +103,10 @@ def _sweep_row(
     level + 1.  The row starts from key * R; after column t, slot 0 holds
     base = max(m_t, prev_t), the floor of m_{t+1}, slots 1..t hold m_1..m_t
     and slots t+1..w hold prev_{t+1}..prev_w, with prev_w = 0.  The row ends
-    with key // R mod R**(w-1): m_{t+1} reads only m_t and prev_t, so no
-    later cell reads m_w, and prev_w = 0 changes only the base after column
-    w, which is dropped with it.  A free cell takes every m in base..level,
+    with key // R mod R**(w-1): m_{t+1} = f + max(m_t, prev_t), that is
+    m_{i+1,j} = f + max(m_{i+1,j-1}, m_{i,j-1}), so no later cell reads
+    m_w, and prev_w = 0 changes only the base after column w, which is
+    dropped with it.  A free cell takes every m in base..level,
     each unit of frequency shifting the weight right by its part 2i - t limbs
     of ``bits`` bits (0: plain multiplicities); a prescribed cell (part 0)
     takes m = base + k alone.  With ``final``,
@@ -292,41 +290,21 @@ def dimension(weights: Sequence[int]) -> int:
     return prefix_pair_counts(WeightVector(tuple(bracket)), rank)[-1]
 
 
-def prefix_pair_counts(
-    wv: WeightVector, rows: int, merged: bool = True
-) -> list[int]:
+def prefix_pair_counts(wv: WeightVector, rows: int) -> list[int]:
     """Admissible prefixes after each of the first ``rows`` diagonal rows.
 
-    No bound is placed on partition mass.  With ``merged`` the kernel sums
-    multiplicities over merged states, and sweeps the last row as a running
-    total since no row reads its maxima; otherwise the (total, maxima) pairs
-    are kept as a flat list, replaying the unmerged construction.  The two
-    agree entry by entry, which is the conservation diagnostic.
+    No bound is placed on partition mass.  The kernel sums multiplicities
+    over merged states, and sweeps the last row as a running total since no
+    row reads its maxima.
     """
     if rows < 1:
         raise ValueError("need at least one row")
     level = wv.k_total
     out: list[int] = []
-    if merged:
-        moves: dict = {}
-        states = _sweep_row({0: 1}, 0, level, row_template(0, wv), moves)
-        for i in range(1, rows + 1):
-            template = row_template(i, wv)
-            states = _sweep_row(states, i, level, template, moves, final=i == rows)
-            out.append(sum(states.values()))
-    else:
-        pairs: list[tuple[int, tuple[int, ...]]] = [(0, initial_maxima(wv))]
-        for i in range(1, rows + 1):
-            frequency_rows = list(enumerate_row_frequencies(i, wv))
-            parts = row_parts(i, wv.width)
-            grown: list[tuple[int, tuple[int, ...]]] = []
-            for total, prev in pairs:
-                for row in frequency_rows:
-                    nxt = maxima_step(prev, row, level)
-                    if nxt is None:
-                        continue
-                    mass = sum(f * v for f, v in zip(row, parts))
-                    grown.append((total + mass, nxt))
-            pairs = grown
-            out.append(len(pairs))
+    moves: dict = {}
+    states = _sweep_row({0: 1}, 0, level, row_template(0, wv), moves)
+    for i in range(1, rows + 1):
+        template = row_template(i, wv)
+        states = _sweep_row(states, i, level, template, moves, final=i == rows)
+        out.append(sum(states.values()))
     return out

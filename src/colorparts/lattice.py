@@ -12,15 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 __all__ = [
     "WeightVector",
     "row_parts",
     "row_template",
-    "initial_maxima",
-    "maxima_step",
-    "enumerate_row_frequencies",
     "path_check",
 ]
 
@@ -137,63 +134,6 @@ def row_template(i: int, wv: WeightVector) -> tuple[Optional[int], ...]:
     for j in range(free + 1, w + 1):
         template.append(wv.bracket[w - j])
     return tuple(template)
-
-
-def initial_maxima(wv: WeightVector) -> tuple[int, ...]:
-    """Maxima of row 0: partial sums k_w + ... + k_{w-j+1}."""
-    w = wv.width
-    return tuple(sum(wv.bracket[w - j :]) for j in range(1, w + 1))
-
-
-def maxima_step(
-    prev: Sequence[int], row: Sequence[int], k_total: int
-) -> Optional[tuple[int, ...]]:
-    """Advance the running path maxima by one row.
-
-    m_1 = f_1 and m_j = f_j + max(prev_{j-1}, m_{j-1}); returns None as soon
-    as an entry exceeds the level, which is exactly the admissibility
-    criterion for the rows seen so far.
-    """
-    if len(prev) != len(row):
-        raise ValueError("maxima and frequency rows must share the width")
-    maxima: list[int] = []
-    for t, f in enumerate(row):
-        if t:
-            base = maxima[t - 1]
-            if prev[t - 1] > base:
-                base = prev[t - 1]
-        else:
-            base = 0
-        value = f + base
-        if value > k_total:
-            return None
-        maxima.append(value)
-    return tuple(maxima)
-
-
-def _bounded_compositions(count: int, total: int) -> Iterator[tuple[int, ...]]:
-    if count == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in _bounded_compositions(count - 1, total - first):
-            yield (first,) + rest
-
-
-def enumerate_row_frequencies(i: int, wv: WeightVector) -> Iterator[tuple[int, ...]]:
-    """All frequency rows for diagonal i, prescribed entries filled in.
-
-    Free entries run over nonnegative values whose sum stays within the level
-    minus the row's prescribed total (the row itself is a downward path).
-    """
-    if i < 1:
-        raise ValueError("row enumeration starts at i = 1")
-    template = row_template(i, wv)
-    free = sum(1 for x in template if x is None)
-    prescribed = tuple(x for x in template if x is not None)
-    budget = wv.k_total - sum(prescribed)
-    for gs in _bounded_compositions(free, budget):
-        yield gs + prescribed
 
 
 @lru_cache(maxsize=None)

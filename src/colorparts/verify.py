@@ -12,12 +12,13 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Optional
 
 from .cache import CountCache, cached_count
 from .congruence import PeriodicProduct, even_width_product, lepowsky_product
 from .counting import CountTable
-from .lattice import WeightVector, _bounded_compositions
+from .lattice import WeightVector
 from .qseries import ExponentSequence, expand, fit_exponents
 
 __all__ = [
@@ -106,19 +107,14 @@ def verify_weight(
     product: Optional[PeriodicProduct] = None,
     product_source: str = "conjecture",
     cache: Optional[CountCache] = None,
-) -> VerificationReport:
-    """Count, expand, compare; report the first mismatch if any."""
-    return _verify(wv, n_max, product, product_source, cache)
-
-
-def _verify(
-    wv: WeightVector, n_max: int, product: Optional[PeriodicProduct] = None,
-    product_source: str = "conjecture", cache: Optional[CountCache] = None,
     table: Optional[CountTable] = None,
 ) -> VerificationReport:
-    """verify_weight, comparing against ``table`` if it is already loaded."""
+    """Count, expand, compare; report the first mismatch if any.  A
+    ``table`` already loaded is compared instead of counting."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if table is not None and table.n_max != n_max:
+        raise ValueError(f"table holds P(1..{table.n_max}), not P(1..{n_max})")
     started = time.perf_counter()
     if product is None:
         product = conjectured_product(wv)
@@ -163,11 +159,11 @@ def sweep_weights(width: int, k_total: int) -> list[tuple[int, ...]]:
         raise ValueError("odd-width sweeps need width >= 5")
     if width < 2:
         raise ValueError("width must be >= 2")
-    # rank + 1 = width // 2 + 1 entries summing to k_total: the last one is
-    # whatever the first rank leave over
+    # rank + 1 = width // 2 + 1 entries summing to k_total: the gaps between
+    # rank cuts in 0..k_total, read from 0 to k_total
     weights = [
-        head + (k_total - sum(head),)
-        for head in _bounded_compositions(width // 2, k_total)
+        tuple(b - a for a, b in zip((0,) + cuts, cuts + (k_total,)))
+        for cuts in combinations_with_replacement(range(k_total + 1), width // 2)
     ]
     if width % 2:
         weights = [ks for ks in weights if ks >= ks[::-1]]
@@ -228,7 +224,7 @@ def run_sweep(
     k_total: int,
     n_max: int,
     jobs: int = 1,
-    cache_dir: Optional[str] = None,
+    cache: Optional[CountCache] = None,
 ) -> list[VerificationReport]:
     """Verify every weight of the family; deterministic order, optional
     process parallelism (verifications are independent).
@@ -242,7 +238,6 @@ def run_sweep(
     sugars = sweep_weights(width, k_total)
     family = WeightVector.from_odd if width % 2 else WeightVector.from_even
     weights = [family(sugar) for sugar in sugars]
-    cache = CountCache(cache_dir) if cache_dir else None
     # One load per entry: hits are compared against the loaded table, and
     # misses are counted and stored without a second load.  A corrupt entry
     # loads as a miss, so it is recounted and rewritten.
@@ -253,7 +248,7 @@ def run_sweep(
     workers = max(1, min(jobs, len(runs), _usable_cores()))
 
     def verify(i: int) -> VerificationReport:
-        report = _verify(weights[i], n_max, table=tables[i])
+        report = verify_weight(weights[i], n_max, table=tables[i])
         if cache is not None and tables[i] is None:
             cache.store(weights[i], n_max, report.counts)
         return report

@@ -1,0 +1,96 @@
+"""The unmerged (total, maxima) replay that the frontier kernel is checked
+against.
+
+Each admissible prefix is kept as its own pair of partition total and the
+full tuple of running path maxima m_1..m_w, grown one whole frequency row
+at a time by :func:`maxima_step`.  Nothing is merged, packed or tabled, so
+its per-row pair counts are an independent check on the kernel's per-row
+state sums (:func:`colorparts.counting.prefix_pair_counts`).
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Optional, Sequence
+
+from colorparts.lattice import WeightVector, row_parts, row_template
+
+
+def initial_maxima(wv: WeightVector) -> tuple[int, ...]:
+    """Maxima of row 0: partial sums k_w + ... + k_{w-j+1}."""
+    w = wv.width
+    return tuple(sum(wv.bracket[w - j :]) for j in range(1, w + 1))
+
+
+def maxima_step(
+    prev: Sequence[int], row: Sequence[int], k_total: int
+) -> Optional[tuple[int, ...]]:
+    """Advance the running path maxima by one row.
+
+    m_1 = f_1 and m_j = f_j + max(prev_{j-1}, m_{j-1}); returns None as soon
+    as an entry exceeds the level, which is exactly the admissibility
+    criterion for the rows seen so far.
+    """
+    if len(prev) != len(row):
+        raise ValueError("maxima and frequency rows must share the width")
+    maxima: list[int] = []
+    for t, f in enumerate(row):
+        if t:
+            base = maxima[t - 1]
+            if prev[t - 1] > base:
+                base = prev[t - 1]
+        else:
+            base = 0
+        value = f + base
+        if value > k_total:
+            return None
+        maxima.append(value)
+    return tuple(maxima)
+
+
+def _bounded_compositions(count: int, total: int) -> Iterator[tuple[int, ...]]:
+    if count == 0:
+        yield ()
+        return
+    for first in range(total + 1):
+        for rest in _bounded_compositions(count - 1, total - first):
+            yield (first,) + rest
+
+
+def enumerate_row_frequencies(i: int, wv: WeightVector) -> Iterator[tuple[int, ...]]:
+    """All frequency rows for diagonal i, prescribed entries filled in.
+
+    Free entries run over nonnegative values whose sum stays within the level
+    minus the row's prescribed total (the row itself is a downward path).
+    """
+    if i < 1:
+        raise ValueError("row enumeration starts at i = 1")
+    template = row_template(i, wv)
+    free = sum(1 for x in template if x is None)
+    prescribed = tuple(x for x in template if x is not None)
+    budget = wv.k_total - sum(prescribed)
+    for gs in _bounded_compositions(free, budget):
+        yield gs + prescribed
+
+
+def unmerged_prefix_counts(wv: WeightVector, rows: int) -> list[int]:
+    """Admissible prefixes after each of the first ``rows`` diagonal rows,
+    counted as a flat list of (total, maxima) pairs."""
+    if rows < 1:
+        raise ValueError("need at least one row")
+    level = wv.k_total
+    out: list[int] = []
+    pairs: list[tuple[int, tuple[int, ...]]] = [(0, initial_maxima(wv))]
+    for i in range(1, rows + 1):
+        frequency_rows = list(enumerate_row_frequencies(i, wv))
+        parts = row_parts(i, wv.width)
+        grown: list[tuple[int, tuple[int, ...]]] = []
+        for total, prev in pairs:
+            for row in frequency_rows:
+                nxt = maxima_step(prev, row, level)
+                if nxt is None:
+                    continue
+                mass = sum(f * v for f, v in zip(row, parts))
+                grown.append((total + mass, nxt))
+        pairs = grown
+        out.append(len(pairs))
+    return out

@@ -15,9 +15,10 @@ from colorparts.counting import (
     dimension,
     prefix_pair_counts,
 )
-from colorparts.lattice import WeightVector, initial_maxima, row_template
+from colorparts.lattice import WeightVector, row_template
 from colorparts.qseries import expand
 from colorparts.verify import verify_weight
+from replay import initial_maxima, unmerged_prefix_counts
 
 APPENDIX_01 = (1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9, 10, 12, 14, 17, 19, 23, 26, 31)
 APPENDIX_10 = (0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6, 6, 8, 9, 11, 12, 15, 16, 20)
@@ -181,7 +182,7 @@ class TestKernelLayout:
     @given(wv=small_brackets())
     def test_keys_drop_the_last_maximum(self, wv):
         level, w = wv.k_total, wv.width
-        unmerged = prefix_pair_counts(wv, 3, merged=False)
+        unmerged = unmerged_prefix_counts(wv, 3)
         states = {0: 1}
         for i in range(4):
             states = _sweep_row(states, i, level, row_template(i, wv))
@@ -310,7 +311,7 @@ class TestDimension:
                 if not sum(ks):
                     continue
                 wv = WeightVector.from_odd((0,) + ks)
-                replay = prefix_pair_counts(wv, rank, merged=False)
+                replay = unmerged_prefix_counts(wv, rank)
                 assert dimension(ks) == replay[-1], ks
 
     def test_rank_one_counts_single_cell(self):
@@ -328,14 +329,14 @@ class TestPrefixDiagnostics:
     def test_merged_multiplicities_match_unmerged_pairs(self):
         for bracket in [(0, 0, 1, 0, 0), (1, 0), (2, 0, 0, 0, 0), (1, 0, 1, 0)]:
             wv = WeightVector(bracket)
-            merged = prefix_pair_counts(wv, 4, merged=True)
-            unmerged = prefix_pair_counts(wv, 4, merged=False)
+            merged = prefix_pair_counts(wv, 4)
+            unmerged = unmerged_prefix_counts(wv, 4)
             assert merged == unmerged
 
     @settings(deadline=None)
     @given(wv=small_brackets(), rows=st.integers(1, 3))
     def test_merged_equals_unmerged_replay(self, wv, rows):
-        assert prefix_pair_counts(wv, rows) == prefix_pair_counts(wv, rows, merged=False)
+        assert prefix_pair_counts(wv, rows) == unmerged_prefix_counts(wv, rows)
 
     def test_counts_grow_with_rows(self):
         wv = WeightVector((0, 0, 1, 0, 0))

@@ -3,15 +3,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from colorparts.lattice import (
-    WeightVector,
-    enumerate_row_frequencies,
-    initial_maxima,
-    maxima_step,
-    path_check,
-    row_parts,
-    row_template,
-)
+from colorparts.lattice import WeightVector, path_check, row_parts, row_template
+from replay import enumerate_row_frequencies, initial_maxima, maxima_step
 
 
 class TestWeightVector:

@@ -28,6 +28,7 @@ from colorparts.verify import (
 )
 
 from known_identities import EVEN_ROWS, ODD_ROWS, REFUTED_VARIANTS
+from replay import _bounded_compositions
 
 
 class TestConjecturedProduct:
@@ -90,6 +91,20 @@ class TestVerifyWeight:
         report = verify_weight(WeightVector.from_even((2, 1, 0, 0, 1)), 10)
         assert report.status == STATUS_INSUFFICIENT
         assert report.first_mismatch is None
+
+    def test_a_loaded_table_is_compared_without_counting(self, monkeypatch):
+        wv = WeightVector.from_even((1, 0))
+        table = count_admissible(wv, 12)
+
+        def no_count(*args, **kwargs):
+            raise AssertionError("a loaded table was counted again")
+
+        monkeypatch.setattr("colorparts.verify.cached_count", no_count)
+        report = verify_weight(wv, 12, table=table)
+        assert report.status == STATUS_VERIFIED and report.counts is table
+        for n_max in (11, 13):
+            with pytest.raises(ValueError):
+                verify_weight(wv, n_max, table=table)
 
     def test_report_dict_schema(self):
         report = verify_weight(WeightVector.from_even((1, 0)), 12)
@@ -155,6 +170,20 @@ class TestSweep:
         # odd widths fold reversals
         assert sweep_weights(5, 1) == [(0, 1, 0), (1, 0, 0)]
         assert sweep_weights(5, 2) == [(0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+        # a family wider than the recursion limit: the 1,002 unit weights
+        wide = sweep_weights(2002, 1)
+        assert len(wide) == 1002
+        assert all(sorted(ks) == [0] * 1001 + [1] for ks in wide)
+        # every bounded composition of the level, its remainder appended
+        for width in (2, 4, 5, 6, 7, 8, 9):
+            for k_total in (1, 2, 3, 4):
+                weights = [
+                    head + (k_total - sum(head),)
+                    for head in _bounded_compositions(width // 2, k_total)
+                ]
+                if width % 2:
+                    weights = [ks for ks in weights if ks >= ks[::-1]]
+                assert sweep_weights(width, k_total) == sorted(weights), (width, k_total)
 
     def test_rejects_bad_families(self):
         with pytest.raises(ValueError):
@@ -204,24 +233,24 @@ class TestSweep:
         ]
 
     def test_warm_sweep_starts_no_pool(self, tmp_path, monkeypatch):
-        cold = run_sweep(4, 2, 15, jobs=2, cache_dir=str(tmp_path))
+        cold = run_sweep(4, 2, 15, jobs=2, cache=CountCache(tmp_path))
 
         def no_fork():
             raise AssertionError("a fully cached sweep forked a worker")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        warm = run_sweep(4, 2, 15, jobs=2, cache_dir=str(tmp_path))
+        warm = run_sweep(4, 2, 15, jobs=2, cache=CountCache(tmp_path))
         assert [_stripped(r) for r in warm] == [_stripped(r) for r in cold]
 
     def test_pool_is_sized_to_the_misses(self, tmp_path, monkeypatch):
-        cold = run_sweep(4, 2, 15, cache_dir=str(tmp_path))
         cache = CountCache(tmp_path)
+        cold = run_sweep(4, 2, 15, cache=cache)
         deleted, corrupt = (cache._path(WeightVector(r.bracket), 15) for r in cold[1:3])
         deleted.unlink()
         corrupt.write_text("not json")
         forks = _recorded_forks(monkeypatch)
         _usable_cores(monkeypatch, 4)
-        warm = run_sweep(4, 2, 15, jobs=4, cache_dir=str(tmp_path))
+        warm = run_sweep(4, 2, 15, jobs=4, cache=cache)
         sizes = [len(forks) + 1]
         assert sizes == [2]
         assert [_stripped(r) for r in warm] == [_stripped(r) for r in cold]
@@ -240,7 +269,7 @@ class TestSweep:
         monkeypatch.setattr(CountCache, "load", counted_load)
         for warmth in ("cold", "warm"):
             loads.clear()
-            run_sweep(4, 2, 15, jobs=jobs, cache_dir=str(tmp_path))  # 6 weights
+            run_sweep(4, 2, 15, jobs=jobs, cache=CountCache(tmp_path))  # 6 weights
             assert len(loads) == 6, warmth
 
     def test_workers_are_clamped_to_the_usable_cores(self, monkeypatch):
@@ -272,7 +301,7 @@ class TestSweep:
         # 3000 misses, more than the queue holds one by one: runs of three
         sugars = [(k, 1) for k in range(3000)]
         monkeypatch.setattr("colorparts.verify.sweep_weights", lambda width, k_total: sugars)
-        monkeypatch.setattr("colorparts.verify._verify", lambda wv, n_max, table=None: wv.bracket)
+        monkeypatch.setattr("colorparts.verify.verify_weight", lambda wv, n_max, table=None: wv.bracket)
         forks = _recorded_forks(monkeypatch)
         _usable_cores(monkeypatch, 2)
         brackets = run_sweep(4, 2, 10, jobs=2)
