@@ -8,6 +8,7 @@ The cache directory may also be set through COLORPARTS_CACHE_DIR.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Optional
 
 import click
@@ -54,20 +55,10 @@ def _cache(cache_dir: Optional[str]) -> Optional[CountCache]:
         raise click.UsageError(f"--cache-dir is not a usable directory: {exc}")
 
 
-weight_options = [
-    click.option("--odd", default=None, help="Odd-width sugar k0,...,kl."),
-    click.option("--even", default=None, help="Even-width sugar k0,...,kl."),
-    click.option("--bracket", default=None, help="Raw bracket k1,...,kw."),
-]
-
-
-def add_options(options):
-    def wrap(fn):
-        for option in reversed(options):
-            fn = option(fn)
-        return fn
-
-    return wrap
+def weight_options(fn):
+    fn = click.option("--bracket", default=None, help="Raw bracket k1,...,kw.")(fn)
+    fn = click.option("--even", default=None, help="Even-width sugar k0,...,kl.")(fn)
+    return click.option("--odd", default=None, help="Odd-width sugar k0,...,kl.")(fn)
 
 
 format_option = click.option(
@@ -101,6 +92,8 @@ n_option = click.option(
 def main():
     """Count admissible colored partitions on staircase arrays and check
     them against periodic product formulas."""
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        sys.set_int_max_str_digits(0)  # print counts of any size exactly
 
 
 def _emit(
@@ -143,7 +136,7 @@ def _weight_views(wv: WeightVector, table: CountTable) -> tuple[list, dict]:
 
 
 @main.command()
-@add_options(weight_options)
+@weight_options
 @n_option
 @format_option
 @cache_option
@@ -159,7 +152,7 @@ def count(odd, even, bracket, n_max, fmt, cache_dir):
 
 
 @main.command()
-@add_options(weight_options)
+@weight_options
 @n_option
 @click.option("--auto", is_flag=True, help="Use the conjectured product.")
 @click.option("--spec", "spec_text", default=None, help="Residue-spec text.")
@@ -240,7 +233,7 @@ def sweep(ctx, width, k_total, n_max, jobs, fmt, cache_dir):
 
 
 @main.command()
-@add_options(weight_options)
+@weight_options
 @n_option
 @click.option("--max-modulus", type=int, default=64, show_default=True)
 @format_option

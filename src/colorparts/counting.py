@@ -19,6 +19,7 @@ code with the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .lattice import (
@@ -142,21 +143,13 @@ def _sweep_row(
             if scale:
                 nxt = key + tail[0]
                 grown[nxt] = get(nxt, 0) + weight * scale
-            for d in head:
+            for d in chain(head, tail) if head else tail:  # most entries have no head
                 nxt = key + d
                 have = get(nxt)  # a new key takes weight itself, not a copy
                 grown[nxt] = weight if have is None else have + weight
                 weight >>= shift
                 if not weight:
                     break
-            else:
-                for d in tail:
-                    nxt = key + d
-                    have = get(nxt)
-                    grown[nxt] = weight if have is None else have + weight
-                    weight >>= shift
-                    if not weight:
-                        break
         frontier = grown
     out: dict[int, int] = {}
     top = radix ** (len(template) - 1)  # drops m_w, which no row reads
@@ -197,23 +190,19 @@ def count_admissible(wv: WeightVector, n_max: int) -> CountTable:
     return CountTable(n_max, tuple((tally >> b * bits) & limb for b in budgets))
 
 
-def brute_force_count(
-    wv: WeightVector, n_max: int, row_bound: Optional[int] = None
-) -> CountTable:
+def brute_force_count(wv: WeightVector, n_max: int) -> CountTable:
     """Oracle count: enumerate frequency matrices, filter by path checking.
 
-    Exponential; meant for n_max <= ~12 at widths <= 5.  ``row_bound`` must
-    leave no part <= n_max beyond the last enumerated row.  Rows whose free
-    sum already exceeds the level are skipped early: the constant-row path
-    rejects them anyway.
+    Exponential; meant for n_max <= ~12 at widths <= 5.  Rows past
+    (n_max + w) // 2 hold no part <= n_max, so they are not enumerated.
+    Rows whose free sum already exceeds the level are skipped early: the
+    constant-row path rejects them anyway.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     w = wv.width
     level = wv.k_total
-    bound = row_bound if row_bound is not None else (n_max + w) // 2
-    if 2 * (bound + 1) - w <= n_max:
-        raise ValueError("row bound leaves parts <= n_max unenumerated")
+    bound = (n_max + w) // 2
 
     templates = [row_template(i, wv) for i in range(bound + 1)]
     # Per row: candidate (row, mass) pairs sorted by mass.
@@ -270,11 +259,11 @@ def _free_fillings(template, level):
 def dimension(weights: Sequence[int]) -> int:
     """Admissible matrices confined to the triangular prescribed region.
 
-    For finite weights (k_1, ..., k_l) the bracket is [0, 0, k_1, 0, k_2,
-    ..., 0, k_l] at width 2l+1, and matrices may have free support only in
-    rows 1..l; no bound is placed on the partition mass.  The count is the
-    last entry of :func:`prefix_pair_counts`, whose last row is swept as a
-    running total.
+    For finite weights (k_1, ..., k_l) the bracket is that of the odd sugar
+    (0, k_1, ..., k_l): [0, 0, k_1, 0, k_2, ..., 0, k_l] at width 2l+1.
+    Matrices may have free support only in rows 1..l; no bound is placed on
+    the partition mass.  The count is the last entry of
+    :func:`prefix_pair_counts`, whose last row is swept as a running total.
     """
     ks = _int_tuple(weights)
     if not ks:
@@ -283,11 +272,7 @@ def dimension(weights: Sequence[int]) -> int:
         raise ValueError(f"weights must be nonnegative, got {ks}")
     if sum(ks) == 0:
         raise ValueError("at least one weight must be positive")
-    rank = len(ks)
-    bracket = [0] * (2 * rank + 1)
-    for t, value in enumerate(ks):
-        bracket[2 * t + 2] = value
-    return prefix_pair_counts(WeightVector(tuple(bracket)), rank)[-1]
+    return prefix_pair_counts(WeightVector.from_odd((0,) + ks), len(ks))[-1]
 
 
 def prefix_pair_counts(wv: WeightVector, rows: int) -> list[int]:

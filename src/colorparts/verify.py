@@ -244,7 +244,7 @@ def run_sweep(
     tables = [cache.load(wv, n_max) if cache else None for wv in weights]
     misses = [i for i, table in enumerate(tables) if table is None]
     chunk = len(misses) // 1024 + 1  # at most 1024 runs of misses
-    runs = [misses[start:start + chunk] for start in range(0, len(misses), chunk)]
+    runs = [misses[start:start + chunk] for start in range(0, len(misses), chunk)] or [[]]
     workers = max(1, min(jobs, len(runs), _usable_cores()))
 
     def verify(i: int) -> VerificationReport:
@@ -253,12 +253,11 @@ def run_sweep(
             cache.store(weights[i], n_max, report.counts)
         return report
 
-    if workers == 1:
-        return [verify(i) for i in range(len(weights))]
-    # Worker r starts on runs[r].  The other runs wait in a pipe as two-byte
-    # indices, and a worker that is done takes the next, so one on a slower
-    # core takes fewer.  The queue (at most 2 KiB, which any pipe holds) is
-    # filled and closed before the first fork, so an empty one reads as EOF.
+    # Every worker count, 1 included, uses the queue.  Worker r starts on
+    # runs[r].  The other runs wait in a pipe as two-byte indices, and a
+    # worker that is done takes the next, so one on a slower core takes fewer.
+    # The queue (at most 2 KiB, which any pipe holds) is filled and closed
+    # before the first fork, so an empty one reads as EOF.
     queue, feed = os.pipe()
     os.write(feed, b"".join(run.to_bytes(2, "big") for run in range(workers, len(runs))))
     os.close(feed)

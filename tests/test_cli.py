@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from colorparts import __version__
 from colorparts.cache import CountCache
 from colorparts.cli import main
 from colorparts.lattice import WeightVector
+from colorparts.verify import verify_weight
 
 # Every command in every format, plus usage errors and --version: argv, exit
 # code and stdout, with the runtime fields normalised as bench/run.py does.
@@ -31,6 +33,14 @@ def test_golden_matrix(case):
     stdout = RUNTIME_TEXT.sub("runtime = _", result.stdout)
     stdout = RUNTIME_JSON.sub('"runtime_seconds": _', stdout)
     assert (result.exit_code, stdout) == (case["exit_code"], case["stdout"])
+
+
+@pytest.mark.parametrize("command", ["count", "verify", "fit"])
+def test_weight_options_are_listed_in_order(command):
+    result = run(command, "--help")
+    assert result.exit_code == 0
+    places = [result.stdout.index(f"  {option} ") for option in ("--odd", "--even", "--bracket")]
+    assert places == sorted(places)
 
 
 def test_version_without_installed_package():
@@ -166,6 +176,34 @@ class TestVerify:
         assert result.output.splitlines() == [
             "n,count,coefficient", "1,1,1", "2,1,1", "3,1,1",
         ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_a_coefficient_past_the_digit_limit_prints_exactly(self, monkeypatch, fmt):
+        # 10**4300 + 7 has 4,301 digits, one past Python's default str() limit
+        digits = "1" + "0" * 4299 + "7"
+        report = verify_weight(WeightVector.from_even((0, 1)), 3)
+        huge = dataclasses.replace(
+            report,
+            status="mismatch",
+            first_mismatch=(1, 1, 10**4300 + 7),
+            coefficients=(10**4300 + 7,) + report.coefficients[1:],
+        )
+        monkeypatch.setattr("colorparts.cli.verify_weight", lambda *args, **kwargs: huge)
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if limit is not None:
+            sys.set_int_max_str_digits(4300)  # the default, whatever ran before
+        try:
+            result = run("verify", "--even", "0,1", "-N", "3", "--auto", "--format", fmt)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        assert result.exit_code == 1
+        expected = {
+            "text": f"first mismatch at n = 1: count 1 != coefficient {digits}\n",
+            "json": f'"coefficients": [{digits}, 1, 1]',
+            "csv": f"n,count,coefficient\n1,1,{digits}\n2,1,1\n3,1,1\n",
+        }[fmt]
+        assert expected in result.stdout
 
 
 class TestSweep:

@@ -86,17 +86,6 @@ class TestBruteForce:
         # level 1, width 2, bottom entry free: parts differ by >= 2
         assert brute_force_count(WeightVector((0, 1)), 3).counts == (1, 1, 1)
 
-    def test_row_bound_validation(self):
-        with pytest.raises(ValueError):
-            brute_force_count(WeightVector((0, 1)), 10, row_bound=3)
-
-    def test_explicit_row_bound_matches_default(self):
-        wv = WeightVector((1, 0, 1))
-        assert (
-            brute_force_count(wv, 8).counts
-            == brute_force_count(wv, 8, row_bound=9).counts
-        )
-
 
 class TestOracleSweep:
     def test_dp_equals_brute_force_exhaustively(self):

@@ -281,6 +281,23 @@ class TestSweep:
         reports = run_sweep(4, 2, 10, jobs=4)
         assert [r.status for r in reports] == [STATUS_VERIFIED] * 6
 
+    def test_a_sweep_without_fork_runs_in_one_process(self, monkeypatch):
+        forks = _recorded_forks(monkeypatch)
+        _usable_cores(monkeypatch, 2)
+        forked = run_sweep(4, 2, 10, jobs=2)
+        assert len(forks) == 1
+        monkeypatch.delattr(os, "fork")
+        counted = []
+
+        def count(wv, n_max, cache=None):
+            counted.append(os.getpid())
+            return count_admissible(wv, n_max)
+
+        monkeypatch.setattr("colorparts.verify.cached_count", count)
+        reports = run_sweep(4, 2, 10, jobs=2)
+        assert counted == [os.getpid()] * 6
+        assert [_stripped(r) for r in reports] == [_stripped(r) for r in forked]
+
     def test_a_slow_worker_takes_fewer_weights(self, monkeypatch):
         # a fixed split would leave the sweeping process 3 of the 6 weights
         parent, counted = os.getpid(), []
