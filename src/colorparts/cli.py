@@ -212,7 +212,7 @@ def sweep(ctx, width, k_total, n_max, jobs, fmt, cache_dir):
         raise click.UsageError("-N and --jobs must be >= 1")
     cache = _cache(cache_dir)
     try:
-        reports = run_sweep(width, k_total, n_max, jobs=jobs, cache=cache)
+        reports = run_sweep(width, k_total, n_max, cache=cache)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     verified = sum(1 for r in reports if r.status == STATUS_VERIFIED)

@@ -10,14 +10,16 @@ and merge.  A state's moves through a cell depend only on the cell
 and two of its maxima, so they are read from tables that each count owns
 and fills on first use, in runs of key deltas.  :func:`count_admissible`
 packs each state's coefficients into one int (Kronecker substitution),
-total s at limb N - s; :func:`prefix_pair_counts`, and through it
-:func:`dimension`, uses plain multiplicities.  A brute-force enumerator
-filtered by explicit path checking is the independent oracle and shares no
-code with the kernel.
+total s at limb N - s, and :func:`count_family` walks the deep rows that a
+family's brackets share once, forward and back; :func:`prefix_pair_counts`,
+and through it :func:`dimension`, uses plain multiplicities.  A brute-force
+enumerator filtered by explicit path checking is the independent oracle and
+shares no code with the kernel.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
@@ -36,6 +38,7 @@ __all__ = [
     "ALGORITHM_VERSION",
     "CountTable",
     "count_admissible",
+    "count_family",
     "brute_force_count",
     "dimension",
     "prefix_pair_counts",
@@ -97,6 +100,7 @@ def _sweep_row(
     moves: Optional[dict] = None,
     bits: int = 0,
     final: bool = False,
+    record: Optional[list] = None,
 ) -> dict[int, int]:
     """Advance ``{maxima: weight}`` across diagonal row i one cell at a time.
 
@@ -120,6 +124,7 @@ def _sweep_row(
     count.  A row drops tables no later row reads: those of columns it
     prescribes differently, and in a final row each one after its column.
     An entry is at most two ``range`` runs, so no entry grows with the level.
+    ``record`` gets the frontier's keys before each cell and after the last.
     """
     radix = level + 1
     moves = {} if moves is None else moves
@@ -131,6 +136,8 @@ def _sweep_row(
         slot = radix**t
         place = 0 if final else slot  # what one unit of m_t adds to the key
         table = {} if final else moves.setdefault((t, fixed), {})
+        if record is not None:
+            record.append(tuple(frontier))
         grown: dict[int, int] = {}
         get = grown.get
         for key, weight in frontier.items():
@@ -151,6 +158,8 @@ def _sweep_row(
                 if not weight:
                     break
         frontier = grown
+    if record is not None:
+        record.append(tuple(frontier))
     out: dict[int, int] = {}
     top = radix ** (len(template) - 1)  # drops m_w, which no row reads
     for key, weight in frontier.items():
@@ -188,6 +197,73 @@ def count_admissible(wv: WeightVector, n_max: int) -> CountTable:
     limb = (1 << bits) - 1
     budgets = range(n_max - 1, -1, -1)  # of totals 1..n_max
     return CountTable(n_max, tuple((tally >> b * bits) & limb for b in budgets))
+
+
+def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
+    """:func:`count_admissible` of brackets of one width w and level at once.
+
+    Rows from r0 = (w + 2) // 2 on are free, so every bracket shares them.
+    A_S, a bracket's prefixes ending in state S, comes from rows 0..r0 - 1;
+    C_S, the completions of S, from one pass back over the keys that one
+    walk of the deep rows from every A_S records.  P(n) is limb 2 n_max - n
+    of the sum of A_S * C_S, whose every limb counts admissible partitions
+    of one total at most 2 n_max, so limbs take the colored bound at 2 n_max;
+    a carry out of the limbs below n_max would corrupt P(n_max).  A target
+    the walk never reached reads 0 and a retired key reads as empty rows:
+    sums, shifts and retirement are monotone, so the walk reaches each key
+    that one bracket reaches with budget left, and the rest lies past n_max.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    shapes = {(wv.width, wv.k_total) for wv in wvs}
+    if len(shapes) > 1:
+        raise ValueError("a family's brackets share one width and one level")
+    if not shapes:
+        return []
+    ((w, level),) = shapes
+    colored = expand(PeriodicProduct(2, (-(w // 2), -((w + 1) // 2))), 2 * n_max)
+    bits = max(colored).bit_length()
+    empty = 1 << n_max * bits
+    r0 = (w + 2) // 2  # the first row free in every column
+    prefixes, states = [], Counter()
+    for wv in wvs:
+        prefix = {0: empty}
+        for i in range(r0):
+            prefix = _sweep_row(prefix, i, level, row_template(i, wv), bits=bits)
+        prefixes.append(prefix)
+        states.update(prefix)
+    moves: dict = {}
+    rows: list[list] = []  # per deep row: the keys before each cell and after
+    i = r0
+    while states:
+        rows.append([])
+        states = _sweep_row(states, i, level, (None,) * w, moves, bits, record=rows[-1])
+        i += 1
+        low = (1 << (2 * i - w) * bits) - 1  # retirement, as in count_admissible
+        states = {key: weight & ~low for key, weight in states.items() if weight > low}
+    radix, top = level + 1, (level + 1) ** (w - 1)
+    after: dict[int, int] = {}  # completions of each row-end key
+    for i, keys in reversed(list(enumerate(rows, start=r0))):
+        ahead = {key: after.get(key // radix % top, empty) for key in keys[w]}
+        for t in range(w, 0, -1):
+            slot, shift, table = radix**t, (2 * i - t) * bits, moves[t, None]
+            behind = {}
+            for key in keys[t - 1]:
+                _, head, tail = table[key % radix * radix + key // slot % radix]
+                acc = 0  # Horner over the cell's moves, the last one first
+                for d in chain(reversed(tail), reversed(head)):
+                    acc = ahead.get(key + d, 0) + (acc >> shift)
+                behind[key] = acc
+            ahead = behind
+        after = {key // radix: value for key, value in ahead.items()}
+    limb = (1 << bits) - 1
+    budgets = range(2 * n_max - 1, n_max - 1, -1)  # of totals 1..n_max
+    tables = []
+    for prefix in prefixes:
+        total = sum(weight * after[key] for key, weight in prefix.items())
+        counts = tuple((total >> b * bits) & limb for b in budgets)
+        tables.append(CountTable(n_max, counts))
+    return tables
 
 
 def brute_force_count(wv: WeightVector, n_max: int) -> CountTable:

@@ -2,14 +2,14 @@
 
 A verification expands a product to degree N, counts admissible colored
 partitions to the same degree, and compares coefficient by coefficient.
-Sweeps run one verification per weight of a conjecture family, in parallel
-when asked, in a fixed deterministic order.
+Sweeps verify every weight of a conjecture family in a fixed deterministic
+order, counting the uncached weights together in one process; a sweep
+report's ``runtime_seconds`` covers only expansion and comparison.
 """
 
 from __future__ import annotations
 
-import os
-import sys
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -17,7 +17,7 @@ from typing import Optional
 
 from .cache import CountCache, cached_count
 from .congruence import PeriodicProduct, even_width_product, lepowsky_product
-from .counting import CountTable
+from .counting import CountTable, count_family
 from .lattice import WeightVector
 from .qseries import ExponentSequence, expand, fit_exponents
 
@@ -38,6 +38,8 @@ STATUS_MISMATCH = "mismatch"
 # Coefficients agree but N is smaller than the product's period (see
 # PeriodicProduct.period), so not every factor has shown one full period.
 STATUS_INSUFFICIENT = "insufficient-N"
+
+MAX_FAMILY = 10_000  # a sweep holds its weights and their prefix states at once
 
 
 @dataclass(frozen=True)
@@ -159,81 +161,32 @@ def sweep_weights(width: int, k_total: int) -> list[tuple[int, ...]]:
         raise ValueError("odd-width sweeps need width >= 5")
     if width < 2:
         raise ValueError("width must be >= 2")
+    rank = width // 2  # C(rank + k, k) > max(rank, k) weights before folding
+    if max(rank, k_total) >= MAX_FAMILY or math.comb(rank + k_total, rank) > MAX_FAMILY:
+        raise ValueError(f"a family of over {MAX_FAMILY} weights is too large to sweep")
     # rank + 1 = width // 2 + 1 entries summing to k_total: the gaps between
     # rank cuts in 0..k_total, read from 0 to k_total
     weights = [
         tuple(b - a for a, b in zip((0,) + cuts, cuts + (k_total,)))
-        for cuts in combinations_with_replacement(range(k_total + 1), width // 2)
+        for cuts in combinations_with_replacement(range(k_total + 1), rank)
     ]
     if width % 2:
         weights = [ks for ks in weights if ks >= ks[::-1]]
     return sorted(weights)
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on; 1 where it cannot fork workers."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_worker(work, run: int) -> tuple[int, int]:
-    """Fork a child that pickles work(run), or the error it raised, into a
-    pipe; return the child's pid and the pipe's read end."""
-    import pickle  # imported here: sweeps that fork no worker never load it
-
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    status = 1  # the child exits 0 only once its whole result is written
-    try:  # and never returns into its caller's frames
-        os.close(read_fd)
-        try:
-            result = work(run)
-        except Exception as exc:
-            result = exc
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(result, pipe)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _reap(pid: int, read_fd: int):
-    """Read a worker's pipe to EOF, then reap it: its reports or its error."""
-    import pickle
-
-    with os.fdopen(read_fd, "rb") as pipe:
-        payload = pipe.read()
-    if os.waitpid(pid, 0)[1]:
-        return RuntimeError(f"sweep worker {pid} exited without a result")
-    return pickle.loads(payload)
-
-
 def run_sweep(
     width: int,
     k_total: int,
     n_max: int,
-    jobs: int = 1,
     cache: Optional[CountCache] = None,
 ) -> list[VerificationReport]:
-    """Verify every weight of the family; deterministic order, optional
-    process parallelism (verifications are independent).
+    """Verify every weight of the family, in a fixed deterministic order.
 
-    Cached weights are verified in the sweeping process.  The uncached ones
-    are shared by up to ``jobs`` workers, which are forked children plus the
-    sweeping process itself, never more than the uncached weights or the
-    usable cores; each takes the next uncached weight when it is done.
-    Without ``os.fork`` the sweep runs in one process.
+    Cached weights are compared against their loaded tables.  The uncached
+    ones are counted together by :func:`count_family`, in this process, and
+    stored.  A report's ``runtime_seconds`` covers only expansion and
+    comparison.
     """
     sugars = sweep_weights(width, k_total)
     family = WeightVector.from_odd if width % 2 else WeightVector.from_even
@@ -243,54 +196,11 @@ def run_sweep(
     # loads as a miss, so it is recounted and rewritten.
     tables = [cache.load(wv, n_max) if cache else None for wv in weights]
     misses = [i for i, table in enumerate(tables) if table is None]
-    chunk = len(misses) // 1024 + 1  # at most 1024 runs of misses
-    runs = [misses[start:start + chunk] for start in range(0, len(misses), chunk)] or [[]]
-    workers = max(1, min(jobs, len(runs), _usable_cores()))
-
-    def verify(i: int) -> VerificationReport:
-        report = verify_weight(weights[i], n_max, table=tables[i])
-        if cache is not None and tables[i] is None:
-            cache.store(weights[i], n_max, report.counts)
-        return report
-
-    # Every worker count, 1 included, uses the queue.  Worker r starts on
-    # runs[r].  The other runs wait in a pipe as two-byte indices, and a
-    # worker that is done takes the next, so one on a slower core takes fewer.
-    # The queue (at most 2 KiB, which any pipe holds) is filled and closed
-    # before the first fork, so an empty one reads as EOF.
-    queue, feed = os.pipe()
-    os.write(feed, b"".join(run.to_bytes(2, "big") for run in range(workers, len(runs))))
-    os.close(feed)
-
-    def work(run: int) -> dict[int, VerificationReport]:
-        """Verify ``runs[run]``, then each run read from the queue."""
-        done = {i: verify(i) for i in runs[run]}
-        while token := os.read(queue, 2):
-            done.update((i, verify(i)) for i in runs[int.from_bytes(token, "big")])
-        return done
-
-    children = []
-    sys.stdout.flush()  # so that a child that writes cannot repeat buffered output
-    sys.stderr.flush()
-    try:
-        for run in range(1, workers):
-            children.append(_fork_worker(work, run))
-        reports = {i: verify(i) for i, table in enumerate(tables) if table is not None}
-        reports.update(work(0))
-    except BaseException:
-        import signal
-
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        results = [_reap(pid, read_fd) for pid, read_fd in children]
-        os.close(queue)
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-        reports.update(result)
-    return [reports[i] for i in range(len(weights))]
+    for i, table in zip(misses, count_family([weights[i] for i in misses], n_max)):
+        tables[i] = table
+        if cache is not None:
+            cache.store(weights[i], n_max, table)
+    return [verify_weight(wv, n_max, table=table) for wv, table in zip(weights, tables)]
 
 
 def fit_weight(

@@ -221,6 +221,16 @@ class TestSweep:
     def test_odd_width_three_rejected(self):
         assert run("sweep", "-w", "3", "-k", "1", "-N", "10").exit_code == 2
 
+    def test_an_oversized_family_is_a_usage_error(self, monkeypatch):
+        # C(203, 2) = 20,503 weights: refused before any weight is built
+        def no_build(*args):
+            raise AssertionError("an oversized family was built")
+
+        monkeypatch.setattr("colorparts.verify.combinations_with_replacement", no_build)
+        result = run("sweep", "-w", "402", "-k", "2", "-N", "5")
+        assert result.exit_code == 2
+        assert "too large to sweep" in result.output
+
     def test_jobs_flag(self):
         serial = run("sweep", "-w", "2", "-k", "2", "-N", "12")
         parallel = run("sweep", "-w", "2", "-k", "2", "-N", "12", "--jobs", "2")

@@ -3,7 +3,7 @@ import time
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colorparts import counting
 from colorparts.congruence import PeriodicProduct, parse_residue_spec
@@ -12,12 +12,13 @@ from colorparts.counting import (
     _sweep_row,
     brute_force_count,
     count_admissible,
+    count_family,
     dimension,
     prefix_pair_counts,
 )
 from colorparts.lattice import WeightVector, row_template
 from colorparts.qseries import expand
-from colorparts.verify import verify_weight
+from colorparts.verify import sweep_weights, verify_weight
 from replay import initial_maxima, unmerged_prefix_counts
 
 APPENDIX_01 = (1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9, 10, 12, 14, 17, 19, 23, 26, 31)
@@ -212,6 +213,57 @@ class TestKernelLayout:
             final = _sweep_row(states, i, level, template, final=True)
             states = _sweep_row(states, i, level, template)
             assert final == {0: sum(states.values())}
+
+
+def _family(width, k_total):
+    builder = WeightVector.from_odd if width % 2 else WeightVector.from_even
+    return [builder(ks) for ks in sweep_weights(width, k_total)]
+
+
+@st.composite
+def small_families(draw):
+    """A sugar family of width 2..7 and level 1..3, or some of its weights."""
+    family = _family(draw(st.sampled_from([2, 4, 5, 6, 7])), draw(st.integers(1, 3)))
+    picks = draw(st.sets(st.integers(0, len(family) - 1), min_size=1))
+    return [family[i] for i in sorted(picks)]
+
+
+class TestCountFamily:
+    @settings(deadline=None)
+    @given(wvs=small_families(), n_max=st.integers(1, 14))
+    @example(wvs=_family(4, 3), n_max=1)
+    @example(wvs=_family(7, 3), n_max=8)
+    @example(wvs=_family(5, 2)[1:2], n_max=8)
+    def test_family_equals_the_forward_count(self, wvs, n_max):
+        tables = count_family(wvs, n_max)
+        assert tables == [count_admissible(wv, n_max) for wv in wvs]
+        if n_max <= 8:
+            assert tables == [brute_force_count(wv, n_max) for wv in wvs]
+
+    def test_limbs_hold_the_totals_past_n_max(self):
+        # with limbs sized by the colored bound at N, not 2N, a carry out of
+        # the totals past N corrupts P(10) of (0,5,3)^e in this family
+        wvs = _family(4, 8)
+        assert count_family(wvs, 10) == [count_admissible(wv, 10) for wv in wvs]
+
+    @settings(deadline=None)
+    @given(wv=small_brackets(), n_max=st.integers(1, 15))
+    def test_counts_to_twice_n_fit_the_limbs(self, wv, n_max):
+        # the premise of the limb width: P(n) <= the colored count of n
+        w = wv.width
+        colored = expand(PeriodicProduct(2, (-(w // 2), -((w + 1) // 2))), 2 * n_max)
+        counts = count_admissible(wv, 2 * n_max).counts
+        assert all(p <= c for p, c in zip(counts, colored[1:]))
+        assert max(counts).bit_length() <= max(colored).bit_length()
+
+    def test_rejects_mixed_families(self):
+        assert count_family([], 5) == []
+        with pytest.raises(ValueError):
+            count_family(_family(4, 2), 0)
+        with pytest.raises(ValueError):  # two widths
+            count_family([WeightVector((1, 0)), WeightVector((1, 0, 0, 0))], 5)
+        with pytest.raises(ValueError):  # two levels
+            count_family([WeightVector((1, 0)), WeightVector((1, 1))], 5)
 
 
 class TestDeepTables:

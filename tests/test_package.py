@@ -35,8 +35,8 @@ def test_readme_library_snippet_runs_as_commented():
 
 
 def test_cli_import_leaves_process_pool_unloaded():
-    # no command needs a process pool, only a sweep that forks workers needs
-    # pickle, only a cache needs hashlib and only csv output needs csv
+    # no command needs a process pool or pickle, only a cache needs hashlib
+    # and only csv output needs csv
     src = Path(colorparts.__file__).parents[1]
     code = (
         "import sys, colorparts.cli; "

@@ -1,7 +1,7 @@
+import hashlib
 import json
 import os
 import tempfile
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +13,7 @@ from colorparts.congruence import (
     lepowsky_product,
     parse_residue_spec,
 )
-from colorparts.counting import CountTable, count_admissible
+from colorparts.counting import CountTable, count_admissible, count_family
 from colorparts.lattice import WeightVector
 from colorparts.qseries import expand
 from colorparts.verify import (
@@ -174,6 +174,7 @@ class TestSweep:
         wide = sweep_weights(2002, 1)
         assert len(wide) == 1002
         assert all(sorted(ks) == [0] * 1001 + [1] for ks in wide)
+        assert len(sweep_weights(278, 2)) == 9_870  # C(141, 2), under the cap
         # every bounded composition of the level, its remainder appended
         for width in (2, 4, 5, 6, 7, 8, 9):
             for k_total in (1, 2, 3, 4):
@@ -190,6 +191,17 @@ class TestSweep:
             sweep_weights(3, 1)
         with pytest.raises(ValueError):
             sweep_weights(4, 0)
+
+    @pytest.mark.parametrize(
+        "width,k_total", [(402, 2), (280, 2), (401, 3), (4, 9_999), (20, 10), (10**18, 10**18)]
+    )
+    def test_rejects_families_over_the_cap(self, width, k_total, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("an oversized family was built")
+
+        monkeypatch.setattr("colorparts.verify.combinations_with_replacement", no_build)
+        with pytest.raises(ValueError, match="too large to sweep"):
+            sweep_weights(width, k_total)
 
     def test_rank_one_level_one_sweep(self):
         reports = run_sweep(2, 1, 20)
@@ -213,52 +225,24 @@ class TestSweep:
         assert [r.sugar for r in reports] == ["(0,1,0)", "(1,0,0)"]
         assert all(r.status == STATUS_VERIFIED for r in reports)
 
-    def test_pool_size_is_clamped(self, monkeypatch):
-        forks = _recorded_forks(monkeypatch)
-        _usable_cores(monkeypatch, 4)
-        reports = run_sweep(2, 2, 10, jobs=10_000)  # 3 weights
-        sizes = [len(forks) + 1]
-        assert sizes == [3]
-        assert [r.status for r in reports] == [STATUS_VERIFIED] * 3
-        forks.clear()
-        run_sweep(4, 2, 10, jobs=10_000)  # 6 weights
-        sizes.append(len(forks) + 1)
-        assert sizes == [3, 4]
-
     def test_parallel_matches_serial(self):
-        serial = run_sweep(2, 2, 15)
-        parallel = run_sweep(2, 2, 15, jobs=2)
-        assert [r.to_dict() | {"runtime_seconds": 0} for r in serial] == [
-            r.to_dict() | {"runtime_seconds": 0} for r in parallel
-        ]
+        # the family counted side by side, against one forward count per weight
+        swept = run_sweep(4, 2, 15)
+        serial = [verify_weight(WeightVector.from_even(ks), 15) for ks in sweep_weights(4, 2)]
+        assert [_stripped(r) for r in swept] == [_stripped(r) for r in serial]
 
     def test_warm_sweep_starts_no_pool(self, tmp_path, monkeypatch):
-        cold = run_sweep(4, 2, 15, jobs=2, cache=CountCache(tmp_path))
+        cold = run_sweep(4, 2, 15, cache=CountCache(tmp_path))
 
         def no_fork():
             raise AssertionError("a fully cached sweep forked a worker")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        warm = run_sweep(4, 2, 15, jobs=2, cache=CountCache(tmp_path))
+        warm = run_sweep(4, 2, 15, cache=CountCache(tmp_path))
         assert [_stripped(r) for r in warm] == [_stripped(r) for r in cold]
 
-    def test_pool_is_sized_to_the_misses(self, tmp_path, monkeypatch):
-        cache = CountCache(tmp_path)
-        cold = run_sweep(4, 2, 15, cache=cache)
-        deleted, corrupt = (cache._path(WeightVector(r.bracket), 15) for r in cold[1:3])
-        deleted.unlink()
-        corrupt.write_text("not json")
-        forks = _recorded_forks(monkeypatch)
-        _usable_cores(monkeypatch, 4)
-        warm = run_sweep(4, 2, 15, jobs=4, cache=cache)
-        sizes = [len(forks) + 1]
-        assert sizes == [2]
-        assert [_stripped(r) for r in warm] == [_stripped(r) for r in cold]
-        assert json.loads(corrupt.read_text())["counts"] == list(cold[2].counts.counts)
-        assert cache.load(WeightVector(cold[1].bracket), 15) == cold[1].counts
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_sweep_loads_each_entry_once(self, tmp_path, monkeypatch, jobs):
+    @pytest.mark.parametrize("missing", [1, 2])
+    def test_sweep_loads_each_entry_once(self, tmp_path, monkeypatch, missing):
         loads = []
         load = CountCache.load
 
@@ -267,131 +251,61 @@ class TestSweep:
             return load(self, wv, n_max)
 
         monkeypatch.setattr(CountCache, "load", counted_load)
-        for warmth in ("cold", "warm"):
+        cache = CountCache(tmp_path)
+        for warmth in ("cold", "partly warm", "warm"):
             loads.clear()
-            run_sweep(4, 2, 15, jobs=jobs, cache=CountCache(tmp_path))  # 6 weights
+            reports = run_sweep(4, 2, 15, cache=cache)  # 6 weights
             assert len(loads) == 6, warmth
+            if warmth == "cold":
+                for report in reports[:missing]:
+                    cache._path(WeightVector(report.bracket), 15).unlink()
 
     def test_workers_are_clamped_to_the_usable_cores(self, monkeypatch):
+        # one process on any number of cores: no sweep forks
         def no_fork():
-            raise AssertionError("a sweep on one usable core forked a worker")
+            raise AssertionError("a sweep forked a worker")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        _usable_cores(monkeypatch, 1)
-        reports = run_sweep(4, 2, 10, jobs=4)
+        reports = run_sweep(4, 2, 10)
         assert [r.status for r in reports] == [STATUS_VERIFIED] * 6
 
-    def test_a_sweep_without_fork_runs_in_one_process(self, monkeypatch):
-        forks = _recorded_forks(monkeypatch)
-        _usable_cores(monkeypatch, 2)
-        forked = run_sweep(4, 2, 10, jobs=2)
-        assert len(forks) == 1
-        monkeypatch.delattr(os, "fork")
-        counted = []
+    @pytest.mark.parametrize("missing", [(3,), (1, 4), (0, 2, 5)])
+    def test_a_partly_cached_sweep_counts_only_its_misses(self, tmp_path, monkeypatch, missing):
+        # the first missing entry is corrupt, the others deleted
+        cache = CountCache(tmp_path)
+        cold = run_sweep(4, 2, 15, cache=cache)  # 6 weights
+        paths = [cache._path(WeightVector(cold[i].bracket), 15) for i in missing]
+        paths[0].write_text("not json")
+        for path in paths[1:]:
+            path.unlink()
+        counted, stored, store = [], [], CountCache.store
 
-        def count(wv, n_max, cache=None):
-            counted.append(os.getpid())
-            return count_admissible(wv, n_max)
+        def recorded_count(wvs, n_max):
+            counted.extend(wv.bracket for wv in wvs)
+            return count_family(wvs, n_max)
 
-        monkeypatch.setattr("colorparts.verify.cached_count", count)
-        reports = run_sweep(4, 2, 10, jobs=2)
-        assert counted == [os.getpid()] * 6
-        assert [_stripped(r) for r in reports] == [_stripped(r) for r in forked]
+        def recorded_store(self, wv, n_max, table):
+            stored.append(wv.bracket)
+            store(self, wv, n_max, table)
 
-    def test_a_slow_worker_takes_fewer_weights(self, monkeypatch):
-        # a fixed split would leave the sweeping process 3 of the 6 weights
-        parent, counted = os.getpid(), []
+        monkeypatch.setattr("colorparts.verify.count_family", recorded_count)
+        monkeypatch.setattr(CountCache, "store", recorded_store)
+        warm = run_sweep(4, 2, 15, cache=cache)
+        assert [_stripped(r) for r in warm] == [_stripped(r) for r in cold]
+        assert counted == stored == [cold[i].bracket for i in missing]
+        assert [json.loads(path.read_text())["counts"] for path in paths] == [
+            list(cold[i].counts.counts) for i in missing
+        ]
 
-        def count(wv, n_max, cache=None):
-            if os.getpid() == parent:
-                counted.append(wv.bracket)
-                time.sleep(0.5)
-            return count_admissible(wv, n_max)
-
-        monkeypatch.setattr("colorparts.verify.cached_count", count)
-        _usable_cores(monkeypatch, 2)
-        reports = run_sweep(4, 2, 10, jobs=2)
-        assert [r.status for r in reports] == [STATUS_VERIFIED] * 6
-        assert 1 <= len(counted) <= 2
-
-    def test_a_large_sweep_is_queued_in_runs(self, monkeypatch):
-        # 3000 misses, more than the queue holds one by one: runs of three
-        sugars = [(k, 1) for k in range(3000)]
-        monkeypatch.setattr("colorparts.verify.sweep_weights", lambda width, k_total: sugars)
-        monkeypatch.setattr("colorparts.verify.verify_weight", lambda wv, n_max, table=None: wv.bracket)
-        forks = _recorded_forks(monkeypatch)
-        _usable_cores(monkeypatch, 2)
-        brackets = run_sweep(4, 2, 10, jobs=2)
-        assert len(forks) == 1
-        assert brackets == [WeightVector.from_even(sugar).bracket for sugar in sugars]
-
-    def test_error_in_a_worker_reaches_the_caller(self, monkeypatch):
-        # the second weight of three is dealt to the forked worker
-        parent, failing = os.getpid(), WeightVector.from_even((1, 1))
-
-        def count(wv, n_max, cache=None):
-            if os.getpid() != parent:
-                raise ValueError(f"cannot count {list(wv.bracket)}")
-            return count_admissible(wv, n_max)
-
-        monkeypatch.setattr("colorparts.verify.cached_count", count)
-        _usable_cores(monkeypatch, 2)
-        with pytest.raises(ValueError) as raised:
-            run_sweep(2, 2, 10, jobs=2)
-        assert raised.value.args == (f"cannot count {list(failing.bracket)}",)
-        with pytest.raises(ChildProcessError):  # every worker was reaped
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_error_in_the_sweeping_process_reaps_the_workers(self, monkeypatch):
-        parent = os.getpid()
-
-        def count(wv, n_max, cache=None):
-            if os.getpid() == parent:
-                raise ValueError("the sweeping process failed")
-            time.sleep(60)  # the worker is killed, not waited for
-
-        monkeypatch.setattr("colorparts.verify.cached_count", count)
-        _usable_cores(monkeypatch, 2)
-        started = time.perf_counter()
-        with pytest.raises(ValueError, match="the sweeping process failed"):
-            run_sweep(2, 2, 10, jobs=2)
-        assert time.perf_counter() - started < 30
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_worker_without_a_result_is_an_error(self, monkeypatch):
-        parent = os.getpid()
-
-        def count(wv, n_max, cache=None):
-            if os.getpid() != parent:
-                raise ValueError(lambda: None)  # cannot be pickled
-            return count_admissible(wv, n_max)
-
-        monkeypatch.setattr("colorparts.verify.cached_count", count)
-        _usable_cores(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match="exited without a result"):
-            run_sweep(2, 2, 10, jobs=2)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
-def _recorded_forks(monkeypatch) -> list:
-    """The pids of the workers forked from now on: a sweep's workers less one."""
-    forks = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return forks
-
-
-def _usable_cores(monkeypatch, cores: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    def test_deep_sweep_tables_match_their_digest(self):
+        # SHA-256 of each weight's P(1), ..., P(100) as ASCII decimals joined
+        # by ",", one line per weight in sweep order, as counted one by one
+        reports = run_sweep(8, 3, 100)
+        encoded = "\n".join(",".join(map(str, r.counts.counts)) for r in reports)
+        assert len(reports) == 35
+        assert hashlib.sha256(encoded.encode("ascii")).hexdigest() == (
+            "27b2050c6a672b593f5ef70a24ea738dc4454d11607089d1c1f11c7cfc6befa0"
+        )
 
 
 def _stripped(report) -> dict:
