@@ -3,7 +3,9 @@
 Keys are hashes of (algorithm version, bracket, n_max), so any change to the
 counting kernel invalidates stale entries.  Writes go through a temp file
 and an atomic rename; concurrent readers are safe and the last writer for a
-key wins with a complete file either way.
+key wins with a complete file either way.  :func:`cached_counts` is the one
+path through the cache: it loads each entry once and counts the misses
+together.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
-from .counting import ALGORITHM_VERSION, CountTable, count_admissible
+from .counting import ALGORITHM_VERSION, CountTable, count_family
 from .lattice import WeightVector
 
-__all__ = ["CountCache", "cached_count"]
+__all__ = ["CountCache", "cached_counts"]
 
 
 def _key(wv: WeightVector, n_max: int) -> dict:
@@ -44,10 +46,9 @@ class CountCache:
             data = json.loads(path.read_text("utf-8"))
         except (OSError, ValueError, RecursionError):  # RecursionError: deep nesting
             return None
-        # Anything but a well-formed entry for this key is a miss.
-        if not isinstance(data, dict):
-            return None
-        if data.get("bracket") != list(wv.bracket) or data.get("n_max") != n_max:
+        # Anything but a well-formed entry for this whole key is a miss.
+        key = _key(wv, n_max)
+        if not isinstance(data, dict) or {name: data.get(name) for name in key} != key:
             return None
         counts = data.get("counts")
         if not isinstance(counts, list):
@@ -79,14 +80,19 @@ class CountCache:
                 raise
 
 
-def cached_count(
-    wv: WeightVector, n_max: int, cache: Optional[CountCache] = None
-) -> CountTable:
-    """Count through the cache when one is given; results are identical."""
-    if cache is None:
-        return count_admissible(wv, n_max)
-    table = cache.load(wv, n_max)
-    if table is None:
-        table = count_admissible(wv, n_max)
-        cache.store(wv, n_max, table)
-    return table
+def cached_counts(
+    wvs: Sequence[WeightVector], n_max: int, cache: Optional[CountCache] = None
+) -> list[CountTable]:
+    """P(1..n_max) of each bracket, through the cache when one is given.
+
+    Each entry is loaded once, and a corrupt one is a miss.  The misses are
+    counted together by :func:`count_family` and stored.  Results are
+    identical with or without a cache.
+    """
+    tables = [None if cache is None else cache.load(wv, n_max) for wv in wvs]
+    misses = [i for i, table in enumerate(tables) if table is None]
+    for i, table in zip(misses, count_family([wvs[i] for i in misses], n_max)):
+        tables[i] = table
+        if cache is not None:
+            cache.store(wvs[i], n_max, table)
+    return tables

@@ -14,7 +14,7 @@ from typing import Optional
 import click
 
 from . import __version__
-from .cache import CountCache, cached_count
+from .cache import CountCache, cached_counts
 from .congruence import ResidueSpecError, parse_residue_spec, residue_class_text
 from .counting import CountTable, dimension
 from .lattice import WeightVector
@@ -145,7 +145,7 @@ def count(odd, even, bracket, n_max, fmt, cache_dir):
     wv = _weight_vector(odd, even, bracket)
     if n_max < 1:
         raise click.UsageError("-N must be >= 1")
-    table = cached_count(wv, n_max, _cache(cache_dir))
+    table = cached_counts([wv], n_max, _cache(cache_dir))[0]
     lines, record = _weight_views(wv, table)
     pairs = table.pairs()
     _emit(fmt, lines + [pairs], record, ["n", "count"], pairs)

@@ -8,13 +8,14 @@ m_{i+1,j} = f + max(m_{i+1,j-1}, m_{i,j-1}), so row i + 1 reads row i only
 at columns 1..w-1, and states that differ only in m_w have the same future
 and merge.  A state's moves through a cell depend only on the cell
 and two of its maxima, so they are read from tables that each count owns
-and fills on first use, in runs of key deltas.  :func:`count_admissible`
-packs each state's coefficients into one int (Kronecker substitution),
-total s at limb N - s, and :func:`count_family` walks the deep rows that a
-family's brackets share once, forward and back; :func:`prefix_pair_counts`,
-and through it :func:`dimension`, uses plain multiplicities.  A brute-force
-enumerator filtered by explicit path checking is the independent oracle and
-shares no code with the kernel.
+and fills on first use, in runs of key deltas.  :func:`count_family`, the
+one counting driver, packs each state's coefficients into one int (Kronecker
+substitution), total s at limb N - s: one bracket tallies what retires as it
+walks, and several walk the deep rows they share once, forward and back;
+:func:`count_admissible` is its count of one bracket.
+:func:`prefix_pair_counts`, and through it :func:`dimension`, uses plain
+multiplicities.  A brute-force enumerator filtered by explicit path checking
+is the independent oracle and shares no code with the kernel.
 """
 
 from __future__ import annotations
@@ -169,46 +170,23 @@ def _sweep_row(
 
 
 def count_admissible(wv: WeightVector, n_max: int) -> CountTable:
-    """Exact P(1..n_max) by the frontier sweep with packed coefficients.
-
-    A weight holds the coefficient of total s at limb n_max - s (its budget),
-    ``bits`` bits per limb, so totals past n_max fall off the bottom.  After
-    each row, limbs whose budget is below the next row's smallest part retire
-    into the tally; the run stops once every state has retired.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    w = wv.width
-    # Admissible prefixes of total n embed into colored partitions of n with
-    # #{j <= w : j = v mod 2} colours for part v, so no coefficient outgrows
-    # the largest of those counts.
-    colored = expand(PeriodicProduct(2, (-(w // 2), -((w + 1) // 2))), n_max)
-    bits = max(colored).bit_length()
-    states = {0: 1 << n_max * bits}  # every maximum is 0 before row 0
-    tally = 0
-    i = 0
-    moves: dict = {}
-    while states:
-        states = _sweep_row(states, i, wv.k_total, row_template(i, wv), moves, bits)
-        i += 1
-        low = (1 << max(0, 2 * i - w) * bits) - 1  # budgets below row i's parts
-        tally += sum(weight & low for weight in states.values())
-        states = {key: weight & ~low for key, weight in states.items() if weight > low}
-    limb = (1 << bits) - 1
-    budgets = range(n_max - 1, -1, -1)  # of totals 1..n_max
-    return CountTable(n_max, tuple((tally >> b * bits) & limb for b in budgets))
+    """Exact P(1..n_max): :func:`count_family` of the one bracket."""
+    return count_family([wv], n_max)[0]
 
 
 def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
-    """:func:`count_admissible` of brackets of one width w and level at once.
+    """Exact P(1..n_max) of each of some brackets of one width w and level.
 
-    Rows from r0 = (w + 2) // 2 on are free, so every bracket shares them.
-    A_S, a bracket's prefixes ending in state S, comes from rows 0..r0 - 1;
-    C_S, the completions of S, from one pass back over the keys that one
-    walk of the deep rows from every A_S records.  P(n) is limb 2 n_max - n
-    of the sum of A_S * C_S, whose every limb counts admissible partitions
-    of one total at most 2 n_max, so limbs take the colored bound at 2 n_max;
-    a carry out of the limbs below n_max would corrupt P(n_max).  A target
+    A weight holds the coefficient of total s at limb n_max - s (its budget).
+    Rows from r0 = (w + 2) // 2 on are free, so every bracket shares them:
+    each sweeps rows 0..r0 - 1 into A_S, its prefixes ending in state S, and
+    one walk of the deep rows starts from the sum of the A_S.  Before each
+    row of the walk, limbs whose budget is below the row's smallest part
+    retire; the walk stops once every state has retired.  One bracket
+    tallies what retires.  Several record the walk's keys, and one pass back
+    over them gives C_S, the completions of S; P(n) is limb 2 n_max - n of
+    the sum of A_S * C_S, and a carry out of the limbs below n_max would
+    corrupt P(n_max), so limbs take the colored bound at 2 n_max.  A target
     the walk never reached reads 0 and a retired key reads as empty rows:
     sums, shifts and retirement are monotone, so the walk reaches each key
     that one bracket reaches with budget left, and the rest lies past n_max.
@@ -221,49 +199,66 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
     if not shapes:
         return []
     ((w, level),) = shapes
-    colored = expand(PeriodicProduct(2, (-(w // 2), -((w + 1) // 2))), 2 * n_max)
+    single = len(wvs) == 1
+    # Admissible partitions of n embed into colored partitions of n with
+    # #{j <= w : j = v mod 2} colours for part v, so a limb counting those of
+    # one total fits the largest colored count up to the largest total.
+    span = n_max if single else 2 * n_max
+    colored = expand(PeriodicProduct(2, (-(w // 2), -((w + 1) // 2))), span)
     bits = max(colored).bit_length()
-    empty = 1 << n_max * bits
+    empty = 1 << n_max * bits  # every maximum is 0 before row 0
     r0 = (w + 2) // 2  # the first row free in every column
+    moves: dict = {}
     prefixes, states = [], Counter()
     for wv in wvs:
         prefix = {0: empty}
         for i in range(r0):
-            prefix = _sweep_row(prefix, i, level, row_template(i, wv), bits=bits)
-        prefixes.append(prefix)
+            prefix = _sweep_row(prefix, i, level, row_template(i, wv), moves, bits)
         states.update(prefix)
-    moves: dict = {}
-    rows: list[list] = []  # per deep row: the keys before each cell and after
+        if not single:
+            prefixes.append(prefix)
+    tally = 0
+    rows: list = []  # per deep row: the keys before each cell and after
     i = r0
     while states:
-        rows.append([])
-        states = _sweep_row(states, i, level, (None,) * w, moves, bits, record=rows[-1])
-        i += 1
-        low = (1 << (2 * i - w) * bits) - 1  # retirement, as in count_admissible
+        low = (1 << (2 * i - w) * bits) - 1  # budgets below row i's parts
+        if single:
+            tally += sum(weight & low for weight in states.values())
         states = {key: weight & ~low for key, weight in states.items() if weight > low}
-    radix, top = level + 1, (level + 1) ** (w - 1)
-    after: dict[int, int] = {}  # completions of each row-end key
-    for i, keys in reversed(list(enumerate(rows, start=r0))):
-        ahead = {key: after.get(key // radix % top, empty) for key in keys[w]}
-        for t in range(w, 0, -1):
-            slot, shift, table = radix**t, (2 * i - t) * bits, moves[t, None]
-            behind = {}
-            for key in keys[t - 1]:
-                _, head, tail = table[key % radix * radix + key // slot % radix]
-                acc = 0  # Horner over the cell's moves, the last one first
-                for d in chain(reversed(tail), reversed(head)):
-                    acc = ahead.get(key + d, 0) + (acc >> shift)
-                behind[key] = acc
-            ahead = behind
-        after = {key // radix: value for key, value in ahead.items()}
+        record = None if single else []
+        rows.append(record)
+        states = _sweep_row(states, i, level, (None,) * w, moves, bits, record=record)
+        i += 1
+    if single:
+        totals = [tally]
+    else:  # the pass back: C_S of every state S that starts row r0
+        radix, top = level + 1, (level + 1) ** (w - 1)
+        after: dict[int, int] = {}  # completions of each row-end key
+        for i, keys in reversed(list(enumerate(rows, start=r0))):
+            ahead = {key: after.get(key // radix % top, empty) for key in keys[w]}
+            for t in range(w, 0, -1):
+                slot, shift, table = radix**t, (2 * i - t) * bits, moves[t, None]
+                behind = {}
+                for key in keys[t - 1]:
+                    _, head, tail = table[key % radix * radix + key // slot % radix]
+                    acc = 0  # Horner over the cell's moves, the last one first
+                    for d in chain(reversed(tail), reversed(head)):
+                        acc = ahead.get(key + d, 0) + (acc >> shift)
+                    behind[key] = acc
+                ahead = behind
+            after = {key // radix: value for key, value in ahead.items()}
+        # P(n) sits at limb 2 n_max - n of A_S * C_S summed
+        totals = [
+            sum(weight * after.get(key, empty) for key, weight in prefix.items())
+            >> n_max * bits
+            for prefix in prefixes
+        ]
     limb = (1 << bits) - 1
-    budgets = range(2 * n_max - 1, n_max - 1, -1)  # of totals 1..n_max
-    tables = []
-    for prefix in prefixes:
-        total = sum(weight * after[key] for key, weight in prefix.items())
-        counts = tuple((total >> b * bits) & limb for b in budgets)
-        tables.append(CountTable(n_max, counts))
-    return tables
+    budgets = range(n_max - 1, -1, -1)  # of totals 1..n_max
+    return [
+        CountTable(n_max, tuple((total >> b * bits) & limb for b in budgets))
+        for total in totals
+    ]
 
 
 def brute_force_count(wv: WeightVector, n_max: int) -> CountTable:

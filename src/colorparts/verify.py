@@ -2,9 +2,10 @@
 
 A verification expands a product to degree N, counts admissible colored
 partitions to the same degree, and compares coefficient by coefficient.
-Sweeps verify every weight of a conjecture family in a fixed deterministic
-order, counting the uncached weights together in one process; a sweep
-report's ``runtime_seconds`` covers only expansion and comparison.
+Every count goes through :func:`~colorparts.cache.cached_counts`.  Sweeps
+verify every weight of a conjecture family in a fixed deterministic order,
+counting the uncached weights together in one process; a sweep report's
+``runtime_seconds`` covers only expansion and comparison.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .cache import CountCache, cached_count
+from .cache import CountCache, cached_counts
 from .congruence import PeriodicProduct, even_width_product, lepowsky_product
-from .counting import CountTable, count_family
+from .counting import CountTable
 from .lattice import WeightVector
 from .qseries import ExponentSequence, expand, fit_exponents
 
@@ -122,7 +123,7 @@ def verify_weight(
         product = conjectured_product(wv)
         product_source = "conjecture"
     if table is None:
-        table = cached_count(wv, n_max, cache)
+        table = cached_counts([wv], n_max, cache)[0]
     series = expand(product, n_max)
     first_mismatch = None
     for n in range(1, n_max + 1):
@@ -183,23 +184,15 @@ def run_sweep(
 ) -> list[VerificationReport]:
     """Verify every weight of the family, in a fixed deterministic order.
 
-    Cached weights are compared against their loaded tables.  The uncached
-    ones are counted together by :func:`count_family`, in this process, and
-    stored.  A report's ``runtime_seconds`` covers only expansion and
+    :func:`~colorparts.cache.cached_counts` loads each cached weight's table
+    once and counts the uncached ones together, in this process, and stores
+    them.  A report's ``runtime_seconds`` covers only expansion and
     comparison.
     """
     sugars = sweep_weights(width, k_total)
     family = WeightVector.from_odd if width % 2 else WeightVector.from_even
     weights = [family(sugar) for sugar in sugars]
-    # One load per entry: hits are compared against the loaded table, and
-    # misses are counted and stored without a second load.  A corrupt entry
-    # loads as a miss, so it is recounted and rewritten.
-    tables = [cache.load(wv, n_max) if cache else None for wv in weights]
-    misses = [i for i, table in enumerate(tables) if table is None]
-    for i, table in zip(misses, count_family([weights[i] for i in misses], n_max)):
-        tables[i] = table
-        if cache is not None:
-            cache.store(weights[i], n_max, table)
+    tables = cached_counts(weights, n_max, cache)
     return [verify_weight(wv, n_max, table=table) for wv, table in zip(weights, tables)]
 
 
@@ -210,5 +203,5 @@ def fit_weight(
     cache: Optional[CountCache] = None,
 ) -> tuple[CountTable, ExponentSequence]:
     """Count, then fit the exponent sequence of the generating function."""
-    table = cached_count(wv, n_max, cache)
+    table = cached_counts([wv], n_max, cache)[0]
     return table, fit_exponents((1,) + table.counts, max_modulus=max_modulus)

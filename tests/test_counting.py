@@ -234,6 +234,7 @@ class TestCountFamily:
     @example(wvs=_family(4, 3), n_max=1)
     @example(wvs=_family(7, 3), n_max=8)
     @example(wvs=_family(5, 2)[1:2], n_max=8)
+    @example(wvs=_family(5, 2)[1:2] * 2, n_max=8)  # one bracket, passed back
     def test_family_equals_the_forward_count(self, wvs, n_max):
         tables = count_family(wvs, n_max)
         assert tables == [count_admissible(wv, n_max) for wv in wvs]

@@ -6,7 +6,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorparts.cache import CountCache, cached_count
+from colorparts.cache import CountCache, cached_counts
 from colorparts.congruence import (
     PeriodicProduct,
     even_width_product,
@@ -99,7 +99,7 @@ class TestVerifyWeight:
         def no_count(*args, **kwargs):
             raise AssertionError("a loaded table was counted again")
 
-        monkeypatch.setattr("colorparts.verify.cached_count", no_count)
+        monkeypatch.setattr("colorparts.verify.cached_counts", no_count)
         report = verify_weight(wv, 12, table=table)
         assert report.status == STATUS_VERIFIED and report.counts is table
         for n_max in (11, 13):
@@ -288,7 +288,7 @@ class TestSweep:
             stored.append(wv.bracket)
             store(self, wv, n_max, table)
 
-        monkeypatch.setattr("colorparts.verify.count_family", recorded_count)
+        monkeypatch.setattr("colorparts.cache.count_family", recorded_count)
         monkeypatch.setattr(CountCache, "store", recorded_store)
         warm = run_sweep(4, 2, 15, cache=cache)
         assert [_stripped(r) for r in warm] == [_stripped(r) for r in cold]
@@ -346,8 +346,8 @@ class TestCache:
         cache = CountCache(tmp_path)
         wv = WeightVector.from_even((1, 1))
         direct = count_admissible(wv, 15)
-        first = cached_count(wv, 15, cache)
-        second = cached_count(wv, 15, cache)
+        first = cached_counts([wv], 15, cache)[0]
+        second = cached_counts([wv], 15, cache)[0]
         assert direct.counts == first.counts == second.counts
         assert len(list(tmp_path.iterdir())) == 1
 
@@ -356,7 +356,7 @@ class TestCache:
         # under ALGORITHM_VERSION "frontier-2"; any other name would turn every
         # existing entry into a miss without a version bump
         cache = CountCache(tmp_path)
-        cached_count(WeightVector((0, 1)), 12, cache)
+        cached_counts([WeightVector((0, 1))], 12, cache)
         assert [entry.name for entry in tmp_path.iterdir()] == [
             "5b04db90b779c6af6d2a1ff9fe4b17a7890335afa78a7d52a0b28f74d8f46f7c.json"
         ]
@@ -364,10 +364,10 @@ class TestCache:
     def test_corrupt_entries_are_recomputed(self, tmp_path):
         cache = CountCache(tmp_path)
         wv = WeightVector((0, 1))
-        cached_count(wv, 10, cache)
+        cached_counts([wv], 10, cache)
         entry = next(tmp_path.iterdir())
         entry.write_text("not json")
-        again = cached_count(wv, 10, cache)
+        again = cached_counts([wv], 10, cache)[0]
         assert again.counts == count_admissible(wv, 10).counts
 
     @pytest.mark.parametrize(
@@ -377,6 +377,7 @@ class TestCache:
             {"counts": ["x", 1, 1]},
             {"counts": [1, None, 1]},
             {"counts": [1.5, -3, True]},
+            {"algorithm": "frontier-1"},  # well formed, but of another version
             # nesting deeper than the JSON decoder's recursion limit
             pytest.param("[" * 100000, id="deep-nesting"),
         ],
@@ -384,13 +385,13 @@ class TestCache:
     def test_malformed_entries_are_misses(self, tmp_path, payload):
         cache = CountCache(tmp_path)
         wv = WeightVector((0, 1))
-        cached_count(wv, 3, cache)
+        cached_counts([wv], 3, cache)
         entry = next(tmp_path.iterdir())
-        if isinstance(payload, dict):
-            payload = {"bracket": [0, 1], "n_max": 3, **payload}
+        if isinstance(payload, dict):  # the stored entry with these fields changed
+            payload = {**json.loads(entry.read_text()), **payload}
         entry.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         assert cache.load(wv, 3) is None
-        assert cached_count(wv, 3, cache).counts == (1, 1, 1)
+        assert cached_counts([wv], 3, cache)[0].counts == (1, 1, 1)
         assert json.loads(entry.read_text())["counts"] == [1, 1, 1]
 
     @settings(deadline=None)
