@@ -12,10 +12,11 @@ and fills on first use, in runs of key deltas.  :func:`count_family`, the
 one counting driver, packs each state's coefficients into one int (Kronecker
 substitution), total s at limb N - s: one bracket tallies what retires as it
 walks, and several walk the deep rows they share once, forward and back;
-:func:`count_admissible` is its count of one bracket.
-:func:`prefix_pair_counts`, and through it :func:`dimension`, uses plain
-multiplicities.  A brute-force enumerator filtered by explicit path checking
-is the independent oracle and shares no code with the kernel.
+:func:`count_admissible` is its count of one bracket.  :func:`_first_rows`
+sweeps a bracket's rows before the first row free in every column, for
+:func:`count_family` and, in plain multiplicities, for :func:`dimension`.  A
+brute-force enumerator filtered by explicit path checking is the independent
+oracle and shares no code with the kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "count_family",
     "brute_force_count",
     "dimension",
-    "prefix_pair_counts",
 ]
 
 # Bump when the kernel changes in any way that could alter cached tables.
@@ -169,6 +169,20 @@ def _sweep_row(
     return out
 
 
+def _first_rows(
+    wv: WeightVector, moves: dict, bits: int = 0, start: int = 1, final: bool = False
+) -> dict[int, int]:
+    """Sweep rows 0..r0 - 1 of ``wv``, r0 = (w + 2) // 2, from ``{0: start}``.
+
+    With ``final`` the last row is swept as a running total, ``{0: total}``.
+    """
+    last, states = (wv.width + 2) // 2 - 1, {0: start}
+    for i in range(last + 1):
+        template, total = row_template(i, wv), final and i == last
+        states = _sweep_row(states, i, wv.k_total, template, moves, bits, total)
+    return states
+
+
 def count_admissible(wv: WeightVector, n_max: int) -> CountTable:
     """Exact P(1..n_max): :func:`count_family` of the one bracket."""
     return count_family([wv], n_max)[0]
@@ -211,9 +225,7 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
     moves: dict = {}
     prefixes, states = [], Counter()
     for wv in wvs:
-        prefix = {0: empty}
-        for i in range(r0):
-            prefix = _sweep_row(prefix, i, level, row_template(i, wv), moves, bits)
+        prefix = _first_rows(wv, moves, bits, empty)
         states.update(prefix)
         if not single:
             prefixes.append(prefix)
@@ -333,8 +345,9 @@ def dimension(weights: Sequence[int]) -> int:
     For finite weights (k_1, ..., k_l) the bracket is that of the odd sugar
     (0, k_1, ..., k_l): [0, 0, k_1, 0, k_2, ..., 0, k_l] at width 2l+1.
     Matrices may have free support only in rows 1..l; no bound is placed on
-    the partition mass.  The count is the last entry of
-    :func:`prefix_pair_counts`, whose last row is swept as a running total.
+    the partition mass.  Row l + 1 is the first row free in every column, so
+    the count is the total of :func:`_first_rows` in plain multiplicities,
+    its row l swept as a running total.
     """
     ks = _int_tuple(weights)
     if not ks:
@@ -343,24 +356,4 @@ def dimension(weights: Sequence[int]) -> int:
         raise ValueError(f"weights must be nonnegative, got {ks}")
     if sum(ks) == 0:
         raise ValueError("at least one weight must be positive")
-    return prefix_pair_counts(WeightVector.from_odd((0,) + ks), len(ks))[-1]
-
-
-def prefix_pair_counts(wv: WeightVector, rows: int) -> list[int]:
-    """Admissible prefixes after each of the first ``rows`` diagonal rows.
-
-    No bound is placed on partition mass.  The kernel sums multiplicities
-    over merged states, and sweeps the last row as a running total since no
-    row reads its maxima.
-    """
-    if rows < 1:
-        raise ValueError("need at least one row")
-    level = wv.k_total
-    out: list[int] = []
-    moves: dict = {}
-    states = _sweep_row({0: 1}, 0, level, row_template(0, wv), moves)
-    for i in range(1, rows + 1):
-        template = row_template(i, wv)
-        states = _sweep_row(states, i, level, template, moves, final=i == rows)
-        out.append(sum(states.values()))
-    return out
+    return _first_rows(WeightVector.from_odd((0,) + ks), {}, final=True)[0]

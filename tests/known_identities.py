@@ -7,6 +7,9 @@ even-width product.  Doubled odd-part families are written "odd, odd".
 ``REFUTED_VARIANTS`` hold near-miss class lists that circulate alongside the
 correct ones; the counting engine refutes each at the recorded degree, which
 makes them good regression data for the mismatch-detection path.
+
+:func:`sp_weyl_dimension` is Weyl's dimension formula for sp(2r), an oracle
+for ``dimension`` that shares no code with the counting kernel.
 """
 
 ODD_ROWS = [
@@ -96,3 +99,24 @@ REFUTED_VARIANTS = [
     ("odd", (0, 1, 1, 0, 1),
      "odd; 1,1,2,3,4,4,6,6,7,8,9,10,10,12,12,13,14,15 mod 16", 15),
 ]
+
+
+def sp_weyl_dimension(ks):
+    """Weyl's dimension of the sp(2r) module of highest weight sum k_i omega_i.
+
+    With omega_i = e_1 + ... + e_i, the weight is lambda_j = k_j + ... + k_r;
+    with rho = (r, r - 1, ..., 1) and a = lambda + rho the dimension is
+    prod_{i<j} (a_i^2 - a_j^2) / (rho_i^2 - rho_j^2) * prod_i a_i / rho_i.
+    """
+    r = len(ks)
+    rho = range(r, 0, -1)
+    a = [sum(ks[j:]) + rho[j] for j in range(r)]
+    num = den = 1
+    for i in range(r):
+        num, den = num * a[i], den * rho[i]
+        for j in range(i + 1, r):
+            num *= a[i] ** 2 - a[j] ** 2
+            den *= rho[i] ** 2 - rho[j] ** 2
+    dim, rest = divmod(num, den)
+    assert rest == 0, ks
+    return dim

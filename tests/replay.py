@@ -5,7 +5,8 @@ Each admissible prefix is kept as its own pair of partition total and the
 full tuple of running path maxima m_1..m_w, grown one whole frequency row
 at a time by :func:`maxima_step`.  Nothing is merged, packed or tabled, so
 its per-row pair counts are an independent check on the kernel's per-row
-state sums (:func:`colorparts.counting.prefix_pair_counts`).
+state sums (:func:`colorparts.counting._sweep_row` run row by row) and on
+:func:`colorparts.counting.dimension`.
 """
 
 from __future__ import annotations

