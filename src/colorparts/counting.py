@@ -13,17 +13,19 @@ one counting driver, packs each state's coefficients into one int (Kronecker
 substitution), total s at limb N - s: one bracket tallies what retires as it
 walks, and several walk the deep rows they share once, forward and back;
 :func:`count_admissible` is its count of one bracket.  :func:`_first_rows`
-sweeps a bracket's rows before the first row free in every column, for
-:func:`count_family` and, in plain multiplicities, for :func:`dimension`.  A
-brute-force enumerator filtered by explicit path checking is the independent
-oracle and shares no code with the kernel.
+sweeps a bracket's first rows for :func:`count_family` and, in plain
+multiplicities, for :func:`dimension`, whose last row is only totalled, by
+running sums over floors (:func:`_last_row_total`).  A brute-force
+enumerator filtered by explicit path checking is the independent oracle and
+shares no code with the kernel.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
+from operator import add
 from typing import Optional, Sequence
 
 from .lattice import (
@@ -72,25 +74,20 @@ class CountTable:
         return [[n, self.counts[n - 1]] for n in range(1, self.n_max + 1)]
 
 
-def _moves(base, prev, fixed, radix, slot, place):
-    """(scale, head, tail): the key deltas max(m, prev) + m * place + lift.
+def _moves(base, prev, fixed, radix, slot):
+    """(head, tail): the key deltas max(m, prev) + m * slot + lift.
 
     A prescribed cell has the one move m = base + k.  A free cell's ``tail``
-    runs over m >= max(base, prev) and its ``head`` over base <= m < prev,
-    except in a final row (place 0), where those m all land on ``tail[0]``:
-    ``scale`` = prev - base extra weights.
+    runs over m >= max(base, prev) and its ``head``, empty unless prev > base,
+    over base <= m < prev.
     """
     lift = -base - prev * slot
     if fixed is not None:
         m = base + fixed
-        return 0, (), ((max(m, prev) + m * place + lift,) if m < radix else ())
-    step = 1 + place
-    tail = range(max(base, prev) * step + lift, radix * step + lift, step)
-    if prev <= base:
-        return 0, (), tail
-    if place:
-        return 0, range(prev + base * place + lift, prev * step + lift, place), tail
-    return prev - base, (), tail
+        return (), ((max(m, prev) + m * slot + lift,) if m < radix else ())
+    step = 1 + slot
+    head = range(prev + base * slot + lift, prev * step + lift, slot)
+    return head, range(max(base, prev) * step + lift, radix * step + lift, step)
 
 
 def _sweep_row(
@@ -100,7 +97,6 @@ def _sweep_row(
     template: Sequence[Optional[int]],
     moves: Optional[dict] = None,
     bits: int = 0,
-    final: bool = False,
     record: Optional[list] = None,
 ) -> dict[int, int]:
     """Advance ``{maxima: weight}`` across diagonal row i one cell at a time.
@@ -112,19 +108,16 @@ def _sweep_row(
     with key // R mod R**(w-1): m_{t+1} = f + max(m_t, prev_t), that is
     m_{i+1,j} = f + max(m_{i+1,j-1}, m_{i,j-1}), so no later cell reads
     m_w, and prev_w = 0 changes only the base after column w, which is
-    dropped with it.  A free cell takes every m in base..level,
-    each unit of frequency shifting the weight right by its part 2i - t limbs
-    of ``bits`` bits (0: plain multiplicities); a prescribed cell (part 0)
-    takes m = base + k alone.  With ``final``,
-    slot t is written as 0 once m_t is placed, and the row returns ``{0:
-    total}``: its maxima are never read, and later cells read only slot 0
-    and the slots above t.
+    dropped with it.  A free cell takes every m in base..level, each unit of
+    frequency shifting the weight right by its part 2i - t limbs of ``bits``
+    bits (0: plain multiplicities); a prescribed cell (part 0) takes m =
+    base + k alone.
 
     Moves come from tables keyed by base * R + prev and filled on first use;
     ``moves`` maps (t, k) to a table and carries them between the rows of one
-    count.  A row drops tables no later row reads: those of columns it
-    prescribes differently, and in a final row each one after its column.
-    An entry is at most two ``range`` runs, so no entry grows with the level.
+    count.  A row drops the tables of columns it prescribes differently,
+    which no later row reads.  An entry is two ``range`` runs at most, so no
+    entry grows with the level.
     ``record`` gets the frontier's keys before each cell and after the last.
     """
     radix = level + 1
@@ -134,23 +127,19 @@ def _sweep_row(
     frontier = {key * radix: weight for key, weight in states.items()}
     for t, fixed in enumerate(template, start=1):
         shift = max(2 * i - t, 0) * bits  # 0 at prescribed cells: part 0
-        slot = radix**t
-        place = 0 if final else slot  # what one unit of m_t adds to the key
-        table = {} if final else moves.setdefault((t, fixed), {})
+        slot = radix**t  # what one unit of m_t adds to the key
+        table = moves.setdefault((t, fixed), {})
         if record is not None:
             record.append(tuple(frontier))
         grown: dict[int, int] = {}
         get = grown.get
         for key, weight in frontier.items():
             try:
-                scale, head, tail = table[key % radix * radix + key // slot % radix]
+                head, tail = table[key % radix * radix + key // slot % radix]
             except KeyError:
                 base, prev = key % radix, key // slot % radix
-                entry = _moves(base, prev, fixed, radix, slot, place)
-                scale, head, tail = table[base * radix + prev] = entry
-            if scale:
-                nxt = key + tail[0]
-                grown[nxt] = get(nxt, 0) + weight * scale
+                entry = _moves(base, prev, fixed, radix, slot)
+                head, tail = table[base * radix + prev] = entry
             for d in chain(head, tail) if head else tail:  # most entries have no head
                 nxt = key + d
                 have = get(nxt)  # a new key takes weight itself, not a copy
@@ -170,17 +159,58 @@ def _sweep_row(
 
 
 def _first_rows(
-    wv: WeightVector, moves: dict, bits: int = 0, start: int = 1, final: bool = False
+    wv: WeightVector, rows: int, moves: dict, bits: int = 0, start: int = 1
 ) -> dict[int, int]:
-    """Sweep rows 0..r0 - 1 of ``wv``, r0 = (w + 2) // 2, from ``{0: start}``.
-
-    With ``final`` the last row is swept as a running total, ``{0: total}``.
-    """
-    last, states = (wv.width + 2) // 2 - 1, {0: start}
-    for i in range(last + 1):
-        template, total = row_template(i, wv), final and i == last
-        states = _sweep_row(states, i, wv.k_total, template, moves, bits, total)
+    """Sweep rows 0..rows - 1 of ``wv`` from ``{0: start}``."""
+    states = {0: start}
+    for i in range(rows):
+        states = _sweep_row(states, i, wv.k_total, row_template(i, wv), moves, bits)
     return states
+
+
+def _last_row_total(
+    states: dict[int, int], level: int, template: Sequence[Optional[int]]
+) -> int:
+    """Total weight of ``states`` swept across one more row, in multiplicities.
+
+    As in :func:`_sweep_row`, m_t runs over its floor b..level at a free cell
+    and is b + k, if at most the level, at a prescribed cell k; m_1's floor
+    is 0 and the next floor is max(m_t, prev_t).  No m_t is read, so states
+    that agree on the prevs still to be read form a group, which keeps its
+    weight V[b] per floor b as a list from its lowest floor lo, the last
+    entry standing for every floor after it up to the level.  With p =
+    prev_t, a prescribed cell moves V[b] to b + k, folded onto p if below it,
+    and a free cell gives W[b] = S[b] = V[lo] + ... + V[b] for b > p (m = b
+    from each floor up to b) and W[p] = sum of V[b] (p - b + 1) over b <= p
+    (each m in b..p lands on p) = S[lo] + ... + S[p].  Running sums of a
+    nonzero last entry grow, so a free cell spells it out to the level first;
+    a zero one stays implicit, as it must at a level of 10**6.
+    """
+    radix = level + 1
+    groups = {key: (0, [weight, 0]) for key, weight in states.items()}
+    for fixed in template:
+        merged: dict = {}
+        for rest, (lo, vals) in groups.items():
+            rest, p = divmod(rest, radix)
+            if fixed is None:
+                pad = radix - lo - len(vals) if vals[-1] else 0
+                vals = list(accumulate(vals + vals[-1:] * pad))
+            else:  # floors past the level drop
+                lo, vals = lo + fixed, vals[: max(radix - lo - fixed, 0)]
+            if not vals:
+                continue
+            if p > lo:  # fold floors lo..p onto p
+                n, tail = p + 1 - lo, vals[-1:]
+                head = sum(vals[:n]) + tail[0] * max(n - len(vals), 0)
+                vals, lo = [head] + (vals[n:] or tail)[: level - p], p
+            if rest in merged:  # add the two groups floor by floor
+                ab = merged[rest], (lo, vals)
+                lo, end = min(f for f, _ in ab), max(f + len(v) for f, v in ab)
+                a, b = ([0] * (f - lo) + v + v[-1:] * (end - f - len(v)) for f, v in ab)
+                vals = list(map(add, a, b))
+            merged[rest] = lo, vals
+        groups = merged
+    return sum(sum(v) + v[-1] * (radix - lo - len(v)) for lo, v in groups.values())
 
 
 def count_admissible(wv: WeightVector, n_max: int) -> CountTable:
@@ -225,7 +255,7 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
     moves: dict = {}
     prefixes, states = [], Counter()
     for wv in wvs:
-        prefix = _first_rows(wv, moves, bits, empty)
+        prefix = _first_rows(wv, r0, moves, bits, empty)
         states.update(prefix)
         if not single:
             prefixes.append(prefix)
@@ -252,7 +282,7 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
                 slot, shift, table = radix**t, (2 * i - t) * bits, moves[t, None]
                 behind = {}
                 for key in keys[t - 1]:
-                    _, head, tail = table[key % radix * radix + key // slot % radix]
+                    head, tail = table[key % radix * radix + key // slot % radix]
                     acc = 0  # Horner over the cell's moves, the last one first
                     for d in chain(reversed(tail), reversed(head)):
                         acc = ahead.get(key + d, 0) + (acc >> shift)
@@ -346,8 +376,8 @@ def dimension(weights: Sequence[int]) -> int:
     (0, k_1, ..., k_l): [0, 0, k_1, 0, k_2, ..., 0, k_l] at width 2l+1.
     Matrices may have free support only in rows 1..l; no bound is placed on
     the partition mass.  Row l + 1 is the first row free in every column, so
-    the count is the total of :func:`_first_rows` in plain multiplicities,
-    its row l swept as a running total.
+    the count is rows 0..l - 1 swept by :func:`_first_rows` in plain
+    multiplicities and row l totalled by :func:`_last_row_total`.
     """
     ks = _int_tuple(weights)
     if not ks:
@@ -356,4 +386,6 @@ def dimension(weights: Sequence[int]) -> int:
         raise ValueError(f"weights must be nonnegative, got {ks}")
     if sum(ks) == 0:
         raise ValueError("at least one weight must be positive")
-    return _first_rows(WeightVector.from_odd((0,) + ks), {}, final=True)[0]
+    wv, last = WeightVector.from_odd((0,) + ks), len(ks)
+    states = _first_rows(wv, last, {})
+    return _last_row_total(states, wv.k_total, row_template(last, wv))

@@ -1,5 +1,6 @@
 import hashlib
 import time
+import tracemalloc
 from itertools import product as iproduct
 
 import pytest
@@ -9,6 +10,7 @@ from colorparts import counting
 from colorparts.congruence import PeriodicProduct, parse_residue_spec
 from colorparts.counting import (
     CountTable,
+    _last_row_total,
     _sweep_row,
     brute_force_count,
     count_admissible,
@@ -150,6 +152,23 @@ class TestLargeLevels:
         assert dimension((300, 300)) == 301**4
         assert time.perf_counter() - started < 2.0
 
+    @pytest.mark.parametrize("k", [1000, 2000])
+    def test_rank_two_uniform_dimension_at_levels_in_the_thousands(self, k):
+        started = time.perf_counter()
+        assert dimension((k, k)) == (k + 1) ** 4
+        assert time.perf_counter() - started < 2.0
+
+    @pytest.mark.parametrize("ks", [(2000, 2000), (10**6,)])
+    def test_dimension_memory_does_not_grow_with_the_level(self, ks):
+        # the last row keeps one short list per group, with an implicit tail
+        tracemalloc.start()
+        try:
+            dimension(ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestKernelLayout:
     # row 0 of each bracket reaches its level, which a radix of only the
@@ -210,9 +229,48 @@ class TestKernelLayout:
         states = _sweep_row({0: 1}, 0, level, row_template(0, wv))
         for i in range(1, len(ks) + 1):
             template = row_template(i, wv)
-            final = _sweep_row(states, i, level, template, final=True)
+            final = _last_row_total(states, level, template)
             states = _sweep_row(states, i, level, template)
-            assert final == {0: sum(states.values())}
+            assert final == sum(states.values())
+
+
+class TestLastRowTotal:
+    # level 3, prev_1 = 0 and prev_2 = p: column 1 prescribes 1, so column 2
+    # starts from floor b = 1 and meets p < b, p = b or p > b
+    @pytest.mark.parametrize(
+        "template,p,expected",
+        [
+            ((1, None, None), 0, 6),  # m_2 in 1..3, then 3 + 2 + 1 ways
+            ((1, None, None), 1, 6),
+            ((1, None, None), 2, 5),  # m_2 = 1, 2 land on floor 2
+            ((1, 0, None), 0, 3),  # m_2 = 1, then m_3 in 1..3
+            ((1, 0, None), 1, 3),
+            ((1, 0, None), 2, 2),  # m_2 = 1 lands on floor 2
+        ],
+        ids=["free-p<b", "free-p=b", "free-p>b", "fixed-p<b", "fixed-p=b", "fixed-p>b"],
+    )
+    def test_floor_against_prev(self, template, p, expected):
+        states = {p * 4: 1}
+        assert _last_row_total(states, 3, template) == expected
+        assert sum(_sweep_row(states, 2, 3, template).values()) == expected
+
+    def test_groups_that_meet_are_added(self):
+        # states that differ only in prev_1 merge after column 1
+        states = {p1 + 4 * p2: 1 + p1 for p1 in range(4) for p2 in range(4)}
+        for template in iproduct([None, 0, 1, 2], repeat=3):
+            total = sum(_sweep_row(states, 2, 3, template).values())
+            assert _last_row_total(states, 3, template) == total, template
+
+    @settings(deadline=None)
+    @given(ks=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
+    def test_total_of_every_row_of_an_odd_weight(self, ks):
+        wv = WeightVector.from_odd((0, *ks))
+        level, moves, states = wv.k_total, {}, {0: 1}
+        for i in range(len(ks) + 1):
+            template = row_template(i, wv)
+            total = _last_row_total(states, level, template)
+            states = _sweep_row(states, i, level, template, moves)
+            assert total == sum(states.values())
 
 
 def _family(width, k_total):
@@ -377,12 +435,12 @@ class TestDimension:
 
 
 def prefix_pair_counts(wv, rows):
-    """Kernel state sums after each of rows 1..rows, the last as a running total."""
+    """Kernel state sums after each of rows 1..rows, the last one only totalled."""
     level, moves, states, out = wv.k_total, {}, {0: 1}, []
-    for i in range(rows + 1):
-        template = row_template(i, wv)
-        states = _sweep_row(states, i, level, template, moves, final=i == rows)
+    for i in range(rows):
+        states = _sweep_row(states, i, level, row_template(i, wv), moves)
         out.append(sum(states.values()))
+    out.append(_last_row_total(states, level, row_template(rows, wv)))
     return out[1:]
 
 
