@@ -15,7 +15,9 @@ walks, and several walk the deep rows they share once, forward and back;
 :func:`count_admissible` is its count of one bracket.  :func:`_first_rows`
 sweeps a bracket's first rows for :func:`count_family` and, in plain
 multiplicities, for :func:`dimension`, whose last row is only totalled, by
-running sums over floors (:func:`_last_row_total`).  A brute-force
+running sums over floors (:func:`_last_row_total`).  It caps each maximum at
+the level less the prescribed entries left in its row, so a state that the
+row must drop is dropped at once.  A brute-force
 enumerator filtered by explicit path checking is the independent oracle and
 shares no code with the kernel.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count, repeat
 from operator import add
 from typing import Optional, Sequence
 
@@ -74,20 +76,22 @@ class CountTable:
         return [[n, self.counts[n - 1]] for n in range(1, self.n_max + 1)]
 
 
-def _moves(base, prev, fixed, radix, slot):
-    """(head, tail): the key deltas max(m, prev) + m * slot + lift.
+def _moves(base, prev, fixed, cap, slot):
+    """(head, tail): the key deltas max(m, prev) + m * slot + lift, m <= cap.
 
     A prescribed cell has the one move m = base + k.  A free cell's ``tail``
     runs over m >= max(base, prev) and its ``head``, empty unless prev > base,
-    over base <= m < prev.
+    over base <= m < prev, which needs prev <= cap.  The cap is the level, or
+    less where the rest of the row would reject a larger m (see
+    :func:`_first_rows`).
     """
     lift = -base - prev * slot
     if fixed is not None:
         m = base + fixed
-        return (), ((max(m, prev) + m * slot + lift,) if m < radix else ())
+        return (), ((max(m, prev) + m * slot + lift,) if m <= cap else ())
     step = 1 + slot
     head = range(prev + base * slot + lift, prev * step + lift, slot)
-    return head, range(max(base, prev) * step + lift, radix * step + lift, step)
+    return head, range(max(base, prev) * step + lift, (cap + 1) * step + lift, step)
 
 
 def _sweep_row(
@@ -98,6 +102,7 @@ def _sweep_row(
     moves: Optional[dict] = None,
     bits: int = 0,
     record: Optional[list] = None,
+    caps: Optional[Sequence[int]] = None,
 ) -> dict[int, int]:
     """Advance ``{maxima: weight}`` across diagonal row i one cell at a time.
 
@@ -108,27 +113,29 @@ def _sweep_row(
     with key // R mod R**(w-1): m_{t+1} = f + max(m_t, prev_t), that is
     m_{i+1,j} = f + max(m_{i+1,j-1}, m_{i,j-1}), so no later cell reads
     m_w, and prev_w = 0 changes only the base after column w, which is
-    dropped with it.  A free cell takes every m in base..level, each unit of
+    dropped with it.  A free cell takes every m in base..cap_t, each unit of
     frequency shifting the weight right by its part 2i - t limbs of ``bits``
     bits (0: plain multiplicities); a prescribed cell (part 0) takes m =
-    base + k alone.
+    base + k alone, if at most cap_t.  ``caps`` defaults to the level in
+    every column; :func:`_first_rows` passes lower ones.
 
     Moves come from tables keyed by base * R + prev and filled on first use;
-    ``moves`` maps (t, k) to a table and carries them between the rows of one
-    count.  A row drops the tables of columns it prescribes differently,
-    which no later row reads.  An entry is two ``range`` runs at most, so no
-    entry grows with the level.
+    ``moves`` maps (t, k, cap_t) to a table and carries them between the rows
+    of one count.  A row drops the tables of columns it prescribes or caps
+    differently, which no later row reads.  An entry is two ``range`` runs at
+    most, so no entry grows with the level.
     ``record`` gets the frontier's keys before each cell and after the last.
     """
     radix = level + 1
     moves = {} if moves is None else moves
-    for stale in moves.keys() - set(enumerate(template, start=1)):
+    cells = list(zip(count(1), template, caps or repeat(level)))
+    for stale in moves.keys() - set(cells):
         del moves[stale]
     frontier = {key * radix: weight for key, weight in states.items()}
-    for t, fixed in enumerate(template, start=1):
+    for t, fixed, cap in cells:
         shift = max(2 * i - t, 0) * bits  # 0 at prescribed cells: part 0
         slot = radix**t  # what one unit of m_t adds to the key
-        table = moves.setdefault((t, fixed), {})
+        table = moves.setdefault((t, fixed, cap), {})
         if record is not None:
             record.append(tuple(frontier))
         grown: dict[int, int] = {}
@@ -138,7 +145,7 @@ def _sweep_row(
                 head, tail = table[key % radix * radix + key // slot % radix]
             except KeyError:
                 base, prev = key % radix, key // slot % radix
-                entry = _moves(base, prev, fixed, radix, slot)
+                entry = _moves(base, prev, fixed, cap, slot)
                 head, tail = table[base * radix + prev] = entry
             for d in chain(head, tail) if head else tail:  # most entries have no head
                 nxt = key + d
@@ -161,10 +168,23 @@ def _sweep_row(
 def _first_rows(
     wv: WeightVector, rows: int, moves: dict, bits: int = 0, start: int = 1
 ) -> dict[int, int]:
-    """Sweep rows 0..rows - 1 of ``wv`` from ``{0: start}``."""
-    states = {0: start}
+    """Sweep rows 0..rows - 1 of ``wv`` from ``{0: start}``, each m_{i,t} capped.
+
+    cap_{i,t} = level - ahead_{i,t}, with ahead_{i,t} the sum of row i's
+    prescribed entries past column t.  A downward path on from (i, t) stays
+    in rows i' >= i, whose prescribed cells (i', j) have j >= 2i' >= 2i and
+    carry row i's entry in column j, so the path along row i meets the most.
+    Each maximum on it is at least the one before plus its entry and at most
+    the level, so a larger m_{i,t} has no completion and row i would drop it
+    anyway: every row ends with the same dict, weights included.  Caps never
+    fall from row to row, so prev <= cap at every cell.
+    """
+    level, states = wv.k_total, {0: start}
     for i in range(rows):
-        states = _sweep_row(states, i, wv.k_total, row_template(i, wv), moves, bits)
+        template = row_template(i, wv)
+        entries = [k or 0 for k in template]  # 0 at free cells
+        caps = [level - sum(entries[t:]) for t in range(1, len(entries) + 1)]
+        states = _sweep_row(states, i, level, template, moves, bits, caps=caps)
     return states
 
 
@@ -185,9 +205,27 @@ def _last_row_total(
     (each m in b..p lands on p) = S[lo] + ... + S[p].  Running sums of a
     nonzero last entry grow, so a free cell spells it out to the level first;
     a zero one stays implicit, as it must at a level of 10**6.
+
+    Every state starts on floor 0, so the first cell is one pass with no
+    lists: a state of weight v puts (p + 1) v on floor p and v on each floor
+    past it at a free cell, and v on max(k, p) at a prescribed k <= level.
+    Each group's list is then built once from its per-floor sums.
     """
-    radix = level + 1
-    groups = {key: (0, [weight, 0]) for key, weight in states.items()}
+    radix, (first, *template) = level + 1, template
+    sums: dict = {}  # per group, the weight on each floor of m_2
+    for key, weight in states.items() if first is None or first <= level else ():
+        rest, p = divmod(key, radix)
+        floors, b = sums.setdefault(rest, {}), max(first or 0, p)
+        floors[b] = floors.get(b, 0) + weight
+    groups = {}
+    for rest, floors in sums.items():
+        lo, below, vals = min(floors), 0, []
+        for b in range(lo, max(floors) + 1):
+            v = floors.get(b, 0)
+            if first is None:  # (b + 1) v here, and v on every floor past b
+                v, below = (b + 1) * v + below, below + v
+            vals.append(v)
+        groups[rest] = lo, (vals + [below])[: radix - lo]
     for fixed in template:
         merged: dict = {}
         for rest, (lo, vals) in groups.items():
@@ -279,7 +317,7 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
         for i, keys in reversed(list(enumerate(rows, start=r0))):
             ahead = {key: after.get(key // radix % top, empty) for key in keys[w]}
             for t in range(w, 0, -1):
-                slot, shift, table = radix**t, (2 * i - t) * bits, moves[t, None]
+                slot, shift, table = radix**t, (2 * i - t) * bits, moves[t, None, level]
                 behind = {}
                 for key in keys[t - 1]:
                     head, tail = table[key % radix * radix + key // slot % radix]

@@ -10,6 +10,7 @@ from colorparts import counting
 from colorparts.congruence import PeriodicProduct, parse_residue_spec
 from colorparts.counting import (
     CountTable,
+    _first_rows,
     _last_row_total,
     _sweep_row,
     brute_force_count,
@@ -158,6 +159,12 @@ class TestLargeLevels:
         assert dimension((k, k)) == (k + 1) ** 4
         assert time.perf_counter() - started < 2.0
 
+    def test_rank_two_uniform_dimension_at_level_ten_thousand(self):
+        # the last row's first cell is one pass over the states, with no lists
+        started = time.perf_counter()
+        assert dimension((10000, 10000)) == 10001**4
+        assert time.perf_counter() - started < 2.0
+
     @pytest.mark.parametrize("ks", [(2000, 2000), (10**6,)])
     def test_dimension_memory_does_not_grow_with_the_level(self, ks):
         # the last row keeps one short list per group, with an implicit tail
@@ -261,6 +268,27 @@ class TestLastRowTotal:
             total = sum(_sweep_row(states, 2, 3, template).values())
             assert _last_row_total(states, 3, template) == total, template
 
+    # level 3, w = 3: keys hold p + 4 prev_2 with p = prev_1 and prev_2 = 1,
+    # so states of different p share the rest of their key
+    @pytest.mark.parametrize(
+        "states,template,expected",
+        [
+            ({4: 1, 7: 2}, (4, None, None), 0),  # k = 4 above the level: no move
+            ({7: 2}, (None, None, None), 8),  # p = level: m_1 in 0..3 lands on 3
+            ({4: 1, 7: 1}, (None, None, None), 23),  # p = 0, 3: 19 + 4 ways
+            ({4: 1, 6: 1}, (1, None, None), 9),  # p = 0, 2: floors 1, 2
+            ({4: 1, 5: 1, 7: 1}, (3, None, None), 3),  # all on floor 3
+            ({4: 1, 5: 2, 7: 3}, (None, None, None), 63),  # 19 + 2 * 16 + 3 * 4
+        ],
+        ids=[
+            "fixed>level", "free-p=level", "free-gap", "fixed-p<>k", "fixed=level",
+            "free-mixed",
+        ],
+    )
+    def test_first_cell_edge_cases(self, states, template, expected):
+        assert _last_row_total(states, 3, template) == expected
+        assert sum(_sweep_row(states, 2, 3, template).values()) == expected
+
     @settings(deadline=None)
     @given(ks=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
     def test_total_of_every_row_of_an_odd_weight(self, ks):
@@ -271,6 +299,47 @@ class TestLastRowTotal:
             total = _last_row_total(states, level, template)
             states = _sweep_row(states, i, level, template, moves)
             assert total == sum(states.values())
+
+
+class TestPrefixCaps:
+    # m_{i,t} is capped by the level less row i's prescribed entries past
+    # column t: a larger one has no completion, and the row would drop it
+
+    @settings(deadline=None)
+    @given(wv=small_brackets(), bits=st.integers(0, 4), n_max=st.integers(1, 6))
+    @example(wv=WeightVector.from_odd((0, 2, 1, 2)), bits=3, n_max=5)
+    @example(wv=WeightVector((2, 1, 1, 1, 0, 0, 0, 0, 0, 0)), bits=2, n_max=4)
+    def test_capped_first_rows_equal_the_uncapped_sweep(self, wv, bits, n_max):
+        # one moves dict for both: capped and uncapped tables must not mix
+        level, moves, empty = wv.k_total, {}, 1 << n_max * bits
+        states = {0: empty}
+        for i in range((wv.width + 2) // 2):
+            states = _sweep_row(states, i, level, row_template(i, wv), moves, bits)
+            assert _first_rows(wv, i + 1, moves, bits, empty) == states
+
+    @settings(deadline=None)
+    @given(ks=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
+    def test_capped_rows_leave_the_last_row_total(self, ks):
+        wv, rows = WeightVector.from_odd((0, *ks)), len(ks)
+        level, template, states = wv.k_total, row_template(rows, wv), {0: 1}
+        for i in range(rows):
+            states = _sweep_row(states, i, level, row_template(i, wv))
+        total = _last_row_total(states, level, template)
+        assert _last_row_total(_first_rows(wv, rows, {}), level, template) == total
+
+    def test_no_cell_of_row_four_outgrows_its_row_end(self, monkeypatch):
+        # uncapped, row 4 of (2,2,2,2,2) grows to 18,086 states before the
+        # prescribed 2 at column 9 cuts it to 5,319
+        record = []
+
+        def spy(states, i, *args, **kwargs):
+            kwargs["record"] = record if i == 4 else None
+            return _sweep_row(states, i, *args, **kwargs)
+
+        monkeypatch.setattr(counting, "_sweep_row", spy)
+        counting._first_rows(WeightVector.from_odd((0, 2, 2, 2, 2, 2)), 5, {})
+        assert len(record) == 12 and len(record[-1]) == 5319
+        assert max(map(len, record)) == 5319
 
 
 def _family(width, k_total):
