@@ -15,6 +15,7 @@ from colorparts.cache import CountCache
 from colorparts.cli import main
 from colorparts.lattice import WeightVector
 from colorparts.verify import verify_weight
+import family_ledger
 
 # Every command in every format, plus usage errors and --version: argv, exit
 # code and stdout, with the runtime fields normalised as bench/run.py does.
@@ -33,6 +34,26 @@ def test_golden_matrix(case):
     stdout = RUNTIME_TEXT.sub("runtime = _", result.stdout)
     stdout = RUNTIME_JSON.sub('"runtime_seconds": _', stdout)
     assert (result.exit_code, stdout) == (case["exit_code"], case["stdout"])
+
+
+# The families of the ledger with at most 100 weights, replayed in process;
+# CI replays the whole grid through the installed CLI.
+LEDGER = json.loads(family_ledger.LEDGER.read_text("utf-8"))
+REPLAYED = [entry for entry in LEDGER if entry[3] <= 100]
+
+
+def test_family_ledger_covers_the_grid():
+    assert [entry[:4] for entry in LEDGER] == family_ledger.grid()
+
+
+@pytest.mark.parametrize(
+    "w,k,n_max,weights,digest", REPLAYED, ids=[f"w{w} k{k} N{n}" for w, k, n, *_ in REPLAYED]
+)
+def test_family_ledger(w, k, n_max, weights, digest):
+    result = run(*family_ledger.sweep_argv(w, k, n_max), env={"COLORPARTS_CACHE_DIR": None})
+    reports = json.loads(result.stdout)
+    assert [report["status"] for report in reports] == ["verified"] * weights
+    assert (result.exit_code, family_ledger.digest(result.stdout)) == (0, digest)
 
 
 @pytest.mark.parametrize("command", ["count", "verify", "fit"])
