@@ -10,14 +10,17 @@ and merge.  A state's moves through a cell depend only on the cell
 and two of its maxima, so they are read from tables that each count owns
 and fills on first use, in runs of key deltas.  :func:`count_family`, the
 one counting driver, packs each state's coefficients into one int (Kronecker
-substitution), total s at limb N - s: one bracket tallies what retires as it
-walks, and several walk the deep rows they share once, forward and back;
-:func:`count_admissible` is its count of one bracket.  :func:`_first_rows`
-sweeps a bracket's first rows for :func:`count_family` and, in plain
-multiplicities, for :func:`dimension`, whose last row is only totalled, by
-running sums over floors (:func:`_last_row_total`).  It caps each maximum at
-the level less the prescribed entries left in its row, so a state that the
-row must drop is dropped at once.  A brute-force
+substitution), total s at limb N - s.  One bracket sweeps its first rows and
+tallies what retires as it walks the deep rows; :func:`count_admissible` is
+that count.  Several share their first rows as a trie keyed by the rows
+still ahead, walk the deep rows once, and pass back once over every row,
+so each bracket's P(n) is limb N - n of its completions; a limb counts
+distinct colored partitions of one total <= N, so no limb carries.
+:func:`_first_rows` sweeps a bracket's first rows, also for :func:`dimension`
+in plain multiplicities, whose last row is only totalled, by running sums
+over floors (:func:`_last_row_total`).  Each maximum is capped at the level
+less the prescribed entries left in its row, so a state that the row must
+drop is dropped at once.  A brute-force
 enumerator filtered by explicit path checking is the independent oracle and
 shares no code with the kernel.
 """
@@ -83,7 +86,7 @@ def _moves(base, prev, fixed, cap, slot):
     runs over m >= max(base, prev) and its ``head``, empty unless prev > base,
     over base <= m < prev, which needs prev <= cap.  The cap is the level, or
     less where the rest of the row would reject a larger m (see
-    :func:`_first_rows`).
+    :func:`_prefix_cells`).
     """
     lift = -base - prev * slot
     if fixed is not None:
@@ -117,20 +120,17 @@ def _sweep_row(
     frequency shifting the weight right by its part 2i - t limbs of ``bits``
     bits (0: plain multiplicities); a prescribed cell (part 0) takes m =
     base + k alone, if at most cap_t.  ``caps`` defaults to the level in
-    every column; :func:`_first_rows` passes lower ones.
+    every column; :func:`_prefix_cells` gives the first rows lower ones.
 
     Moves come from tables keyed by base * R + prev and filled on first use;
-    ``moves`` maps (t, k, cap_t) to a table and carries them between the rows
-    of one count.  A row drops the tables of columns it prescribes or caps
-    differently, which no later row reads.  An entry is two ``range`` runs at
-    most, so no entry grows with the level.
-    ``record`` gets the frontier's keys before each cell and after the last.
+    ``moves`` maps (t, k, cap_t) to a table, which fixes every move, and
+    carries them through one count.  An entry is two ``range`` runs at most,
+    so no entry grows with the level.  ``record`` gets the frontier's keys
+    before each cell and after the last, for :func:`_sweep_back`.
     """
     radix = level + 1
     moves = {} if moves is None else moves
-    cells = list(zip(count(1), template, caps or repeat(level)))
-    for stale in moves.keys() - set(cells):
-        del moves[stale]
+    cells = zip(count(1), template, caps or repeat(level))
     frontier = {key * radix: weight for key, weight in states.items()}
     for t, fixed, cap in cells:
         shift = max(2 * i - t, 0) * bits  # 0 at prescribed cells: part 0
@@ -165,10 +165,8 @@ def _sweep_row(
     return out
 
 
-def _first_rows(
-    wv: WeightVector, rows: int, moves: dict, bits: int = 0, start: int = 1
-) -> dict[int, int]:
-    """Sweep rows 0..rows - 1 of ``wv`` from ``{0: start}``, each m_{i,t} capped.
+def _prefix_cells(wv: WeightVector, rows: int) -> tuple:
+    """(template, caps) of each of rows 0..rows - 1 of ``wv``.
 
     cap_{i,t} = level - ahead_{i,t}, with ahead_{i,t} the sum of row i's
     prescribed entries past column t.  A downward path on from (i, t) stays
@@ -179,13 +177,60 @@ def _first_rows(
     anyway: every row ends with the same dict, weights included.  Caps never
     fall from row to row, so prev <= cap at every cell.
     """
-    level, states = wv.k_total, {0: start}
+    cells = []
     for i in range(rows):
         template = row_template(i, wv)
         entries = [k or 0 for k in template]  # 0 at free cells
-        caps = [level - sum(entries[t:]) for t in range(1, len(entries) + 1)]
-        states = _sweep_row(states, i, level, template, moves, bits, caps=caps)
+        caps = tuple(wv.k_total - sum(entries[t:]) for t in range(1, len(entries) + 1))
+        cells.append((template, caps))
+    return tuple(cells)
+
+
+def _first_rows(
+    wv: WeightVector, rows: int, moves: dict, bits: int = 0, start: int = 1
+) -> dict[int, int]:
+    """Sweep rows 0..rows - 1 of ``wv`` from ``{0: start}``, each m_{i,t}
+    capped (:func:`_prefix_cells`)."""
+    states = {0: start}
+    for i, (template, caps) in enumerate(_prefix_cells(wv, rows)):
+        states = _sweep_row(states, i, wv.k_total, template, moves, bits, caps=caps)
     return states
+
+
+def _sweep_back(
+    record: list,
+    after: dict[int, int],
+    missing: int,
+    i: int,
+    level: int,
+    moves: dict,
+    bits: int,
+    template: Sequence[Optional[int]],
+    caps: Optional[Sequence[int]] = None,
+) -> dict[int, int]:
+    """Completions of row i's start keys from ``after``, those of its end keys.
+
+    A completion holds the count of the rows ahead of total s at limb
+    n_max - s, so a cell sums its moves' targets in ``record``, each shifted
+    right by the part its frequency adds (Horner, the last move first); a
+    target the row never recorded reads 0, a key missing from ``after``
+    reads ``missing``.
+    """
+    radix = level + 1
+    top = radix ** (len(template) - 1)
+    ahead = {key: after.get(key // radix % top, missing) for key in record[-1]}
+    cells = zip(count(1), template, caps or repeat(level))
+    for t, fixed, cap in reversed(list(cells)):
+        slot, shift, table = radix**t, max(2 * i - t, 0) * bits, moves[t, fixed, cap]
+        get, behind = ahead.get, {}
+        for key in record[t - 1]:
+            head, tail = table[key % radix * radix + key // slot % radix]
+            acc = 0
+            for d in chain(reversed(tail), reversed(head)) if head else reversed(tail):
+                acc = get(key + d, 0) + (acc >> shift)
+            behind[key] = acc
+        ahead = behind
+    return {key // radix: value for key, value in ahead.items()}
 
 
 def _last_row_total(
@@ -260,18 +305,28 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
     """Exact P(1..n_max) of each of some brackets of one width w and level.
 
     A weight holds the coefficient of total s at limb n_max - s (its budget).
-    Rows from r0 = (w + 2) // 2 on are free, so every bracket shares them:
-    each sweeps rows 0..r0 - 1 into A_S, its prefixes ending in state S, and
-    one walk of the deep rows starts from the sum of the A_S.  Before each
-    row of the walk, limbs whose budget is below the row's smallest part
-    retire; the walk stops once every state has retired.  One bracket
-    tallies what retires.  Several record the walk's keys, and one pass back
-    over them gives C_S, the completions of S; P(n) is limb 2 n_max - n of
-    the sum of A_S * C_S, and a carry out of the limbs below n_max would
-    corrupt P(n_max), so limbs take the colored bound at 2 n_max.  A target
-    the walk never reached reads 0 and a retired key reads as empty rows:
-    sums, shifts and retirement are monotone, so the walk reaches each key
-    that one bracket reaches with budget left, and the rest lies past n_max.
+    Rows from r0 = (w + 2) // 2 on are free, so every bracket shares them;
+    before each, limbs whose budget is below the row's smallest part retire,
+    and the walk stops once every state has retired.  One bracket sweeps its
+    first rows and tallies what retires.  Several form a trie: a node at row
+    r < r0, keyed by the (template, caps) of rows r..r0 - 1, sums the states
+    of the brackets with that suffix and sweeps its row once into the node
+    one row shorter, from each bracket's leaf ``{0: 1}`` at limb n_max to
+    the root, where the deep walk starts.  One pass back over every recorded
+    row (:func:`_sweep_back`) gives each key's completions, which depend only
+    on the rows ahead, so P(n) is limb n_max - n of key 0's at a bracket's
+    leaf.  A target the walk never reached reads 0 and a retired key reads
+    as empty rows: sums, shifts and retirement are monotone, so the walk
+    reaches each key that one bracket reaches with budget left, and the rest
+    lies past n_max.
+
+    Limbs sized for n_max suffice.  An admissible partition of n embeds into
+    the colored partitions of n with #{j <= w : j = v mod 2} colours for
+    part v, and a limb of the tally or of a completion counts distinct such
+    partitions (of the rows ahead) of one total s <= n_max, since a shift
+    drops the totals past n_max instead of carrying them.  So no limb
+    exceeds the largest colored count up to n_max.  Summed forward weights
+    may carry, but only upward, which keeps every key the walk needs.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -282,23 +337,29 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
         return []
     ((w, level),) = shapes
     single = len(wvs) == 1
-    # Admissible partitions of n embed into colored partitions of n with
-    # #{j <= w : j = v mod 2} colours for part v, so a limb counting those of
-    # one total fits the largest colored count up to the largest total.
-    span = n_max if single else 2 * n_max
-    colored = expand(PeriodicProduct(2, (-(w // 2), -((w + 1) // 2))), span)
+    colored = expand(PeriodicProduct(2, (-(w // 2), -((w + 1) // 2))), n_max)
     bits = max(colored).bit_length()
     empty = 1 << n_max * bits  # every maximum is 0 before row 0
     r0 = (w + 2) // 2  # the first row free in every column
     moves: dict = {}
-    prefixes, states = [], Counter()
-    for wv in wvs:
-        prefix = _first_rows(wv, r0, moves, bits, empty)
-        states.update(prefix)
-        if not single:
-            prefixes.append(prefix)
+    rows: list = []  # per row, each node's: rest, template, caps, recorded keys
+    if single:
+        states = _first_rows(wvs[0], r0, moves, bits, empty)
+    else:
+        suffixes = [_prefix_cells(wv, r0) for wv in wvs]
+        nodes = {suffix: {0: empty} for suffix in suffixes}
+        for i in range(r0):
+            grown: dict = {}
+            rows.append({})
+            for suffix, node in nodes.items():
+                (template, caps), rest = suffix[0], suffix[1:]
+                record: list = []
+                rows[i][suffix] = rest, template, caps, record
+                out = _sweep_row(node, i, level, template, moves, bits, record, caps)
+                grown.setdefault(rest, Counter()).update(out)
+            nodes = grown
+        states = nodes[()]  # the root
     tally = 0
-    rows: list = []  # per deep row: the keys before each cell and after
     i = r0
     while states:
         low = (1 << (2 * i - w) * bits) - 1  # budgets below row i's parts
@@ -306,33 +367,21 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
             tally += sum(weight & low for weight in states.values())
         states = {key: weight & ~low for key, weight in states.items() if weight > low}
         record = None if single else []
-        rows.append(record)
+        rows.append({(): ((), (None,) * w, None, record)})
         states = _sweep_row(states, i, level, (None,) * w, moves, bits, record=record)
         i += 1
     if single:
         totals = [tally]
-    else:  # the pass back: C_S of every state S that starts row r0
-        radix, top = level + 1, (level + 1) ** (w - 1)
-        after: dict[int, int] = {}  # completions of each row-end key
-        for i, keys in reversed(list(enumerate(rows, start=r0))):
-            ahead = {key: after.get(key // radix % top, empty) for key in keys[w]}
-            for t in range(w, 0, -1):
-                slot, shift, table = radix**t, (2 * i - t) * bits, moves[t, None, level]
-                behind = {}
-                for key in keys[t - 1]:
-                    head, tail = table[key % radix * radix + key // slot % radix]
-                    acc = 0  # Horner over the cell's moves, the last one first
-                    for d in chain(reversed(tail), reversed(head)):
-                        acc = ahead.get(key + d, 0) + (acc >> shift)
-                    behind[key] = acc
-                ahead = behind
-            after = {key // radix: value for key, value in ahead.items()}
-        # P(n) sits at limb 2 n_max - n of A_S * C_S summed
-        totals = [
-            sum(weight * after.get(key, empty) for key, weight in prefix.items())
-            >> n_max * bits
-            for prefix in prefixes
-        ]
+    else:
+        done: dict = {}  # completions of each node's start keys, the last row first
+        for i, nodes in reversed(list(enumerate(rows))):
+            done = {
+                suffix: _sweep_back(
+                    keys, done.get(rest, {}), empty, i, level, moves, bits, template, caps
+                )
+                for suffix, (rest, template, caps, keys) in nodes.items()
+            }
+        totals = [done[suffix][0] for suffix in suffixes]
     limb = (1 << bits) - 1
     budgets = range(n_max - 1, -1, -1)  # of totals 1..n_max
     return [

@@ -40,7 +40,7 @@ STATUS_MISMATCH = "mismatch"
 # PeriodicProduct.period), so not every factor has shown one full period.
 STATUS_INSUFFICIENT = "insufficient-N"
 
-MAX_FAMILY = 10_000  # a sweep holds its weights and their prefix states at once
+MAX_FAMILY = 10_000  # a sweep holds its weights and every state their trie records
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,10 @@ def digest(stdout: str) -> str:
 
 def replay(w: int, k: int, n_max: int) -> str:
     """The digest of one family, swept by the installed CLI with no cache."""
-    env = {key: value for key, value in os.environ.items() if key != CACHE_ENV_VAR}
-    out = subprocess.run(
-        ["colorparts", *sweep_argv(w, k, n_max)], capture_output=True, text=True, env=env
-    )
+    env = dict(os.environ)
+    env.pop(CACHE_ENV_VAR, None)
+    argv = ["colorparts", *sweep_argv(w, k, n_max)]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
     if out.returncode not in (0, 1):  # 1: some weight did not verify
         raise RuntimeError(f"sweep -w {w} -k {k} -N {n_max} failed: {out.stderr}")
     return digest(out.stdout)
@@ -72,7 +72,8 @@ def main(argv: list[str]) -> int:
     failed = 0
     for w, k, n_max, weights, want in json.loads(LEDGER.read_text("utf-8")):
         got = replay(w, k, n_max)
-        print(f"w{w} k{k} N{n_max} ({weights} weights): {'ok' if got == want else 'MISMATCH'}")
+        verdict = "ok" if got == want else "MISMATCH"
+        print(f"w{w} k{k} N{n_max} ({weights} weights): {verdict}")
         failed += got != want
     return 1 if failed else 0
 

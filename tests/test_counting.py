@@ -348,10 +348,11 @@ def _family(width, k_total):
 
 
 @st.composite
-def small_families(draw):
-    """A sugar family of width 2..7 and level 1..3, or some of its weights."""
-    family = _family(draw(st.sampled_from([2, 4, 5, 6, 7])), draw(st.integers(1, 3)))
-    picks = draw(st.sets(st.integers(0, len(family) - 1), min_size=1))
+def small_families(draw, widths=(2, 4, 5, 6, 7), most=None):
+    """A sugar family of one of ``widths`` and level 1..3, or up to ``most``
+    of its weights."""
+    family = _family(draw(st.sampled_from(widths)), draw(st.integers(1, 3)))
+    picks = draw(st.sets(st.integers(0, len(family) - 1), min_size=1, max_size=most))
     return [family[i] for i in sorted(picks)]
 
 
@@ -368,9 +369,34 @@ class TestCountFamily:
         if n_max <= 8:
             assert tables == [brute_force_count(wv, n_max) for wv in wvs]
 
+    @settings(deadline=None, max_examples=30)
+    @given(
+        wvs=small_families(widths=[4, 5, 6, 7, 8, 9], most=6),
+        n_max=st.integers(1, 40),
+    )
+    @example(wvs=_family(9, 3)[::4], n_max=40)
+    @example(wvs=_family(8, 3)[::6], n_max=40)
+    def test_trie_equals_each_bracket_counted_alone(self, wvs, n_max):
+        assert count_family(wvs, n_max) == [count_admissible(wv, n_max) for wv in wvs]
+
+    def test_moves_are_built_once_per_table_entry(self, monkeypatch):
+        # the tables live through the whole count, so no bracket rebuilds
+        # the entries another one built
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return moves(*args)
+
+        moves = counting._moves
+        monkeypatch.setattr(counting, "_moves", spy)
+        count_family(_family(10, 5), 24)
+        assert len(calls) == len(set(calls)) == 935
+
     def test_limbs_hold_the_totals_past_n_max(self):
-        # with limbs sized by the colored bound at N, not 2N, a carry out of
-        # the totals past N corrupts P(10) of (0,5,3)^e in this family
+        # limbs take the colored bound at N: this family is where a carry
+        # out of the totals past N would corrupt P(10) of (0,5,3)^e if the
+        # count multiplied prefixes by completions
         wvs = _family(4, 8)
         assert count_family(wvs, 10) == [count_admissible(wv, 10) for wv in wvs]
 
