@@ -15,7 +15,8 @@ tallies what retires as it walks the deep rows; :func:`count_admissible` is
 that count.  Several share their first rows as a trie keyed by the rows
 still ahead, walk the deep rows once, and pass back once over every row,
 so each bracket's P(n) is limb N - n of its completions; a limb counts
-distinct colored partitions of one total <= N, so no limb carries.
+distinct colored partitions of one total <= N, so limbs sized by the
+colored bound at N never carry.
 :func:`_first_rows` sweeps a bracket's first rows, also for :func:`dimension`
 in plain multiplicities, whose last row is only totalled, by running sums
 over floors (:func:`_last_row_total`).  Each maximum is capped at the level
