@@ -77,6 +77,8 @@ cache_option = click.option(
 
 
 def _bounded_n(ctx, param, value: int) -> int:
+    if value < 1:
+        raise click.UsageError("-N must be >= 1")
     if value > 10**6:  # the cap on spec numbers, so no table outgrows memory
         raise click.UsageError("-N must be <= 1000000")
     return value
@@ -143,8 +145,6 @@ def _weight_views(wv: WeightVector, table: CountTable) -> tuple[list, dict]:
 def count(odd, even, bracket, n_max, fmt, cache_dir):
     """Print P(n) for 1 <= n <= N."""
     wv = _weight_vector(odd, even, bracket)
-    if n_max < 1:
-        raise click.UsageError("-N must be >= 1")
     table = cached_counts([wv], n_max, _cache(cache_dir))[0]
     lines, record = _weight_views(wv, table)
     pairs = table.pairs()
@@ -162,8 +162,6 @@ def count(odd, even, bracket, n_max, fmt, cache_dir):
 def verify(ctx, odd, even, bracket, n_max, auto, spec_text, fmt, cache_dir):
     """Compare counts against a product; exit 0 iff verified."""
     wv = _weight_vector(odd, even, bracket)
-    if n_max < 1:
-        raise click.UsageError("-N must be >= 1")
     if auto == (spec_text is not None):
         raise click.UsageError("pass exactly one of --auto or --spec")
     product = None
@@ -208,8 +206,8 @@ def verify(ctx, odd, even, bracket, n_max, auto, spec_text, fmt, cache_dir):
 @click.pass_context
 def sweep(ctx, width, k_total, n_max, jobs, fmt, cache_dir):
     """Verify every weight of a conjecture family; exit 0 iff all verify."""
-    if n_max < 1 or jobs < 1:
-        raise click.UsageError("-N and --jobs must be >= 1")
+    if jobs < 1:
+        raise click.UsageError("--jobs must be >= 1")
     cache = _cache(cache_dir)
     try:
         reports = run_sweep(width, k_total, n_max, cache=cache)
@@ -241,8 +239,8 @@ def sweep(ctx, width, k_total, n_max, jobs, fmt, cache_dir):
 def fit(odd, even, bracket, n_max, max_modulus, fmt, cache_dir):
     """Fit a product exponent sequence to the count table."""
     wv = _weight_vector(odd, even, bracket)
-    if n_max < 1 or max_modulus < 1:
-        raise click.UsageError("-N and --max-modulus must be >= 1")
+    if max_modulus < 1:
+        raise click.UsageError("--max-modulus must be >= 1")
     table, fitted = fit_weight(wv, n_max, max_modulus, cache=_cache(cache_dir))
     classes = None
     if fitted.detected_period is not None:

@@ -10,25 +10,22 @@ and merge.  A state's moves through a cell depend only on the cell
 and two of its maxima, so they are read from tables that each count owns
 and fills on first use, in runs of key deltas.  :func:`count_family`, the
 one counting driver, packs each state's coefficients into one int (Kronecker
-substitution), total s at limb N - s.  One bracket sweeps its first rows and
-tallies what retires as it walks the deep rows; :func:`count_admissible` is
-that count.  Several share their first rows as a trie keyed by the rows
-still ahead, walk the deep rows once, and pass back once over every row,
-so each bracket's P(n) is limb N - n of its completions; a limb counts
-distinct colored partitions of one total <= N, so limbs sized by the
-colored bound at N never carry.
-:func:`_first_rows` sweeps a bracket's first rows, also for :func:`dimension`
-in plain multiplicities, whose last row is only totalled, by running sums
-over floors (:func:`_last_row_total`).  Each maximum is capped at the level
-less the prescribed entries left in its row, so a state that the row must
-drop is dropped at once.  A brute-force
-enumerator filtered by explicit path checking is the independent oracle and
-shares no code with the kernel.
+substitution), total s at limb N - s, and walks every row in one loop: the
+brackets' first rows form a trie keyed by the rows still ahead, one bracket
+being a trie with one leaf, and the deep rows are its root's.  One bracket
+(:func:`count_admissible`) tallies what retires as it walks; several pass
+back once over every row, so each bracket's P(n) is limb N - n of its
+completions, whose limbs never carry (see :func:`count_family`).
+:func:`dimension` sweeps the first rows in plain multiplicities and totals
+the last one by running sums over floors (:func:`_last_row_total`).  Each
+maximum is capped at the level less the prescribed entries left in its
+row, so a state that the row must drop is dropped at once.  A brute-force
+enumerator filtered by explicit path checking is the independent oracle
+and shares no code with the kernel.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, repeat
 from operator import add
@@ -126,8 +123,8 @@ def _sweep_row(
     Moves come from tables keyed by base * R + prev and filled on first use;
     ``moves`` maps (t, k, cap_t) to a table, which fixes every move, and
     carries them through one count.  An entry is two ``range`` runs at most,
-    so no entry grows with the level.  ``record`` gets the frontier's keys
-    before each cell and after the last, for :func:`_sweep_back`.
+    so no entry grows with the level.  ``record``, a family's only, gets the
+    keys before each cell and after the last, for :func:`_sweep_back`.
     """
     radix = level + 1
     moves = {} if moves is None else moves
@@ -185,17 +182,6 @@ def _prefix_cells(wv: WeightVector, rows: int) -> tuple:
         caps = tuple(wv.k_total - sum(entries[t:]) for t in range(1, len(entries) + 1))
         cells.append((template, caps))
     return tuple(cells)
-
-
-def _first_rows(
-    wv: WeightVector, rows: int, moves: dict, bits: int = 0, start: int = 1
-) -> dict[int, int]:
-    """Sweep rows 0..rows - 1 of ``wv`` from ``{0: start}``, each m_{i,t}
-    capped (:func:`_prefix_cells`)."""
-    states = {0: start}
-    for i, (template, caps) in enumerate(_prefix_cells(wv, rows)):
-        states = _sweep_row(states, i, wv.k_total, template, moves, bits, caps=caps)
-    return states
 
 
 def _sweep_back(
@@ -306,20 +292,20 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
     """Exact P(1..n_max) of each of some brackets of one width w and level.
 
     A weight holds the coefficient of total s at limb n_max - s (its budget).
-    Rows from r0 = (w + 2) // 2 on are free, so every bracket shares them;
-    before each, limbs whose budget is below the row's smallest part retire,
-    and the walk stops once every state has retired.  One bracket sweeps its
-    first rows and tallies what retires.  Several form a trie: a node at row
-    r < r0, keyed by the (template, caps) of rows r..r0 - 1, sums the states
-    of the brackets with that suffix and sweeps its row once into the node
-    one row shorter, from each bracket's leaf ``{0: 1}`` at limb n_max to
-    the root, where the deep walk starts.  One pass back over every recorded
-    row (:func:`_sweep_back`) gives each key's completions, which depend only
-    on the rows ahead, so P(n) is limb n_max - n of key 0's at a bracket's
-    leaf.  A target the walk never reached reads 0 and a retired key reads
-    as empty rows: sums, shifts and retirement are monotone, so the walk
-    reaches each key that one bracket reaches with budget left, and the rest
-    lies past n_max.
+    One loop walks every row.  Each row sweeps every node of a trie once
+    into the node one row shorter: a node at row r < r0 = (w + 2) // 2,
+    keyed by the (template, caps) of rows r..r0 - 1, sums the states of the
+    brackets with that suffix, from each bracket's leaf ``{0: 1}`` at limb
+    n_max; one bracket is a trie with one leaf.  From r0 on the only node is
+    the root ``()``, whose row is free; before each of its rows, limbs whose
+    budget is below the row's smallest part retire, and the walk stops once
+    every state has retired.  One bracket tallies what retires.  Several
+    record every row's keys, and one pass back (:func:`_sweep_back`) gives
+    each key's completions, which depend only on the rows ahead, so P(n) is
+    limb n_max - n of key 0's at a bracket's leaf.  A target the walk never
+    reached reads 0 and a retired key reads as empty rows: sums, shifts and
+    retirement are monotone, so the walk reaches each key that one bracket
+    reaches with budget left, and the rest lies past n_max.
 
     Limbs sized for n_max suffice.  An admissible partition of n embeds into
     the colored partitions of n with #{j <= w : j = v mod 2} colours for
@@ -342,35 +328,32 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
     bits = max(colored).bit_length()
     empty = 1 << n_max * bits  # every maximum is 0 before row 0
     r0 = (w + 2) // 2  # the first row free in every column
+    suffixes = [_prefix_cells(wv, r0) for wv in wvs]
+    nodes = {suffix: {0: empty} for suffix in suffixes}
     moves: dict = {}
-    rows: list = []  # per row, each node's: rest, template, caps, recorded keys
-    if single:
-        states = _first_rows(wvs[0], r0, moves, bits, empty)
-    else:
-        suffixes = [_prefix_cells(wv, r0) for wv in wvs]
-        nodes = {suffix: {0: empty} for suffix in suffixes}
-        for i in range(r0):
-            grown: dict = {}
-            rows.append({})
-            for suffix, node in nodes.items():
-                (template, caps), rest = suffix[0], suffix[1:]
-                record: list = []
-                rows[i][suffix] = rest, template, caps, record
-                out = _sweep_row(node, i, level, template, moves, bits, record, caps)
-                grown.setdefault(rest, Counter()).update(out)
-            nodes = grown
-        states = nodes[()]  # the root
+    rows: list = []  # a family's, per row, each node's: rest, template, caps, keys
     tally = 0
-    i = r0
-    while states:
-        low = (1 << (2 * i - w) * bits) - 1  # budgets below row i's parts
-        if single:
-            tally += sum(weight & low for weight in states.values())
-        states = {key: weight & ~low for key, weight in states.items() if weight > low}
-        record = None if single else []
-        rows.append({(): ((), (None,) * w, None, record)})
-        states = _sweep_row(states, i, level, (None,) * w, moves, bits, record=record)
-        i += 1
+    for i in count():
+        if i >= r0:  # the root alone, whose rows are free
+            low = (1 << (2 * i - w) * bits) - 1  # budgets below row i's parts
+            if single:
+                tally += sum(v & low for v in nodes[()].values())
+            nodes[()] = {key: v & ~low for key, v in nodes[()].items() if v > low}
+            if not nodes[()]:
+                break
+        grown, row = {}, {}  # the next row's nodes, and this row's for the pass back
+        for suffix, node in nodes.items():  # rebinding node drops the last sweep
+            template, caps = suffix[0] if suffix else ((None,) * w, None)
+            rest = suffix[1:]
+            record = None if single else []
+            row[suffix] = rest, template, caps, record
+            node = _sweep_row(node, i, level, template, moves, bits, record, caps)
+            if grown.setdefault(rest, node) is not node:  # siblings sum
+                for key, v in node.items():
+                    grown[rest][key] = grown[rest].get(key, 0) + v
+        nodes = grown
+        if not single:  # one bracket never passes back
+            rows.append(row)
     if single:
         totals = [tally]
     else:
@@ -464,8 +447,8 @@ def dimension(weights: Sequence[int]) -> int:
     (0, k_1, ..., k_l): [0, 0, k_1, 0, k_2, ..., 0, k_l] at width 2l+1.
     Matrices may have free support only in rows 1..l; no bound is placed on
     the partition mass.  Row l + 1 is the first row free in every column, so
-    the count is rows 0..l - 1 swept by :func:`_first_rows` in plain
-    multiplicities and row l totalled by :func:`_last_row_total`.
+    the count is rows 0..l - 1 swept in plain multiplicities and row l
+    totalled by :func:`_last_row_total`.
     """
     ks = _int_tuple(weights)
     if not ks:
@@ -475,5 +458,7 @@ def dimension(weights: Sequence[int]) -> int:
     if sum(ks) == 0:
         raise ValueError("at least one weight must be positive")
     wv, last = WeightVector.from_odd((0,) + ks), len(ks)
-    states = _first_rows(wv, last, {})
+    states, moves = {0: 1}, {}
+    for i, (template, caps) in enumerate(_prefix_cells(wv, last)):
+        states = _sweep_row(states, i, wv.k_total, template, moves, caps=caps)
     return _last_row_total(states, wv.k_total, row_template(last, wv))

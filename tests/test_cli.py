@@ -70,12 +70,23 @@ def test_version_without_installed_package():
     assert result.output.endswith(f"version {__version__}\n")
 
 
-@pytest.mark.parametrize("argv", [
+N_COMMANDS = [
     ["count", "--even", "0,1"],
     ["verify", "--even", "0,1", "--auto"],
     ["sweep", "-w", "2", "-k", "1"],
     ["fit", "--even", "0,1"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", N_COMMANDS, ids=lambda argv: argv[0])
+def test_n_below_one_is_usage_error(argv):
+    # the -N option checks both bounds before any command runs
+    result = run(*argv, "-N", "0")
+    assert result.exit_code == 2
+    assert result.output.endswith("Error: -N must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv", N_COMMANDS, ids=lambda argv: argv[0])
 def test_n_above_cap_is_usage_error(argv):
     # the cap matches the spec-number cap
     for n in ["1000001", "5000000000000"]:

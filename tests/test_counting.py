@@ -10,7 +10,6 @@ from colorparts import counting
 from colorparts.congruence import PeriodicProduct, parse_residue_spec
 from colorparts.counting import (
     CountTable,
-    _first_rows,
     _last_row_total,
     _sweep_row,
     brute_force_count,
@@ -306,16 +305,28 @@ class TestPrefixCaps:
     # column t: a larger one has no completion, and the row would drop it
 
     @settings(deadline=None)
-    @given(wv=small_brackets(), bits=st.integers(0, 4), n_max=st.integers(1, 6))
-    @example(wv=WeightVector.from_odd((0, 2, 1, 2)), bits=3, n_max=5)
-    @example(wv=WeightVector((2, 1, 1, 1, 0, 0, 0, 0, 0, 0)), bits=2, n_max=4)
-    def test_capped_first_rows_equal_the_uncapped_sweep(self, wv, bits, n_max):
-        # one moves dict for both: capped and uncapped tables must not mix
-        level, moves, empty = wv.k_total, {}, 1 << n_max * bits
-        states = {0: empty}
-        for i in range((wv.width + 2) // 2):
-            states = _sweep_row(states, i, level, row_template(i, wv), moves, bits)
-            assert _first_rows(wv, i + 1, moves, bits, empty) == states
+    @given(wv=small_brackets(), n_max=st.integers(1, 6))
+    @example(wv=WeightVector.from_odd((0, 2, 1, 2)), n_max=5)
+    @example(wv=WeightVector((2, 1, 1, 1, 0, 0, 0, 0, 0, 0)), n_max=4)
+    def test_capped_first_rows_equal_the_uncapped_sweep(self, wv, n_max):
+        # a count's capped first rows; its moves dict serves both, so capped
+        # and uncapped tables must not mix
+        calls = []
+
+        def spy(states, i, level, template, moves, bits, record, caps):
+            out = _sweep_row(states, i, level, template, moves, bits, record, caps)
+            calls.append((i, moves, bits, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(counting, "_sweep_row", spy)
+            count_admissible(wv, n_max)
+        r0, (_, moves, bits, _) = (wv.width + 2) // 2, calls[0]
+        assert [i for i, *_ in calls[:r0]] == list(range(r0))
+        states = {0: 1 << n_max * bits}
+        for i, _, _, out in calls[:r0]:
+            states = _sweep_row(states, i, wv.k_total, row_template(i, wv), moves, bits)
+            assert out == states
 
     @settings(deadline=None)
     @given(ks=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
@@ -324,8 +335,7 @@ class TestPrefixCaps:
         level, template, states = wv.k_total, row_template(rows, wv), {0: 1}
         for i in range(rows):
             states = _sweep_row(states, i, level, row_template(i, wv))
-        total = _last_row_total(states, level, template)
-        assert _last_row_total(_first_rows(wv, rows, {}), level, template) == total
+        assert dimension(ks) == _last_row_total(states, level, template)
 
     def test_no_cell_of_row_four_outgrows_its_row_end(self, monkeypatch):
         # uncapped, row 4 of (2,2,2,2,2) grows to 18,086 states before the
@@ -337,7 +347,7 @@ class TestPrefixCaps:
             return _sweep_row(states, i, *args, **kwargs)
 
         monkeypatch.setattr(counting, "_sweep_row", spy)
-        counting._first_rows(WeightVector.from_odd((0, 2, 2, 2, 2, 2)), 5, {})
+        assert dimension((2, 2, 2, 2, 2)) == 847288609443
         assert len(record) == 12 and len(record[-1]) == 5319
         assert max(map(len, record)) == 5319
 
@@ -392,6 +402,22 @@ class TestCountFamily:
         monkeypatch.setattr(counting, "_moves", spy)
         count_family(_family(10, 5), 24)
         assert len(calls) == len(set(calls)) == 935
+
+    def test_only_families_record_keys(self, monkeypatch):
+        # one bracket tallies forward, so recording its keys would only
+        # raise its peak memory; a family passes back over every row
+        records = []
+
+        def spy(states, i, level, template, moves, bits, record, caps):
+            records.append(record)
+            return _sweep_row(states, i, level, template, moves, bits, record, caps)
+
+        monkeypatch.setattr(counting, "_sweep_row", spy)
+        count_admissible(WeightVector.from_even((2, 1, 0, 0, 1)), 40)
+        assert len(records) > 20 and all(record is None for record in records)
+        records.clear()
+        count_family(_family(6, 2)[:2], 40)
+        assert len(records) > 20 and all(type(record) is list for record in records)
 
     def test_limbs_hold_the_totals_past_n_max(self):
         # limbs take the colored bound at N: this family is where a carry
