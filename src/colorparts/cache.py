@@ -11,7 +11,6 @@ together.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -34,13 +33,16 @@ class CountCache:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, wv: WeightVector, n_max: int) -> Path:
-        import hashlib  # imported here: runs without a cache never load it
+        import hashlib  # imported here, like json: runs without a cache never load them
+        import json
 
         payload = json.dumps(_key(wv, n_max), sort_keys=True)
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         return self.root / f"{digest}.json"
 
     def load(self, wv: WeightVector, n_max: int) -> Optional[CountTable]:
+        import json
+
         path = self._path(wv, n_max)
         try:
             data = json.loads(path.read_text("utf-8"))
@@ -59,6 +61,8 @@ class CountCache:
             return None
 
     def store(self, wv: WeightVector, n_max: int, table: CountTable) -> None:
+        import json
+
         path = self._path(wv, n_max)
         payload = json.dumps(
             {**_key(wv, n_max), "counts": list(table.counts)}, sort_keys=True

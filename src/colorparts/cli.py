@@ -7,18 +7,16 @@ The cache directory may also be set through COLORPARTS_CACHE_DIR.
 
 from __future__ import annotations
 
-import json
 import sys
 from typing import Optional
 
-import click
-
+# The package modules go before click: compiled first, they leave a smaller
+# peak RSS.  Each command imports the rest of the package that it runs.
 from . import __version__
-from .cache import CountCache, cached_counts
-from .congruence import ResidueSpecError, parse_residue_spec, residue_class_text
 from .counting import CountTable, dimension
 from .lattice import WeightVector
-from .verify import STATUS_VERIFIED, fit_weight, run_sweep, verify_weight
+
+import click
 
 CACHE_ENV_VAR = "COLORPARTS_CACHE_DIR"
 
@@ -46,9 +44,12 @@ def _weight_vector(
         raise click.UsageError(str(exc))
 
 
-def _cache(cache_dir: Optional[str]) -> Optional[CountCache]:
+def _cache(cache_dir: Optional[str]):
+    """The ``CountCache`` at ``cache_dir``, or None when no directory is set."""
     if not cache_dir:
         return None
+    from .cache import CountCache
+
     try:
         return CountCache(cache_dir)
     except OSError as exc:
@@ -109,6 +110,8 @@ def _emit(
     if fmt == "text":
         out = "\n".join(str(line) for line in text_lines)
     elif fmt == "json":
+        import json
+
         out = json.dumps(record, sort_keys=True)
     else:
         import csv  # imported here: only csv output needs csv and io
@@ -144,6 +147,8 @@ def _weight_views(wv: WeightVector, table: CountTable) -> tuple[list, dict]:
 @cache_option
 def count(odd, even, bracket, n_max, fmt, cache_dir):
     """Print P(n) for 1 <= n <= N."""
+    from .cache import cached_counts
+
     wv = _weight_vector(odd, even, bracket)
     table = cached_counts([wv], n_max, _cache(cache_dir))[0]
     lines, record = _weight_views(wv, table)
@@ -161,6 +166,9 @@ def count(odd, even, bracket, n_max, fmt, cache_dir):
 @click.pass_context
 def verify(ctx, odd, even, bracket, n_max, auto, spec_text, fmt, cache_dir):
     """Compare counts against a product; exit 0 iff verified."""
+    from .congruence import ResidueSpecError, parse_residue_spec
+    from .verify import STATUS_VERIFIED, verify_weight
+
     wv = _weight_vector(odd, even, bracket)
     if auto == (spec_text is not None):
         raise click.UsageError("pass exactly one of --auto or --spec")
@@ -206,6 +214,8 @@ def verify(ctx, odd, even, bracket, n_max, auto, spec_text, fmt, cache_dir):
 @click.pass_context
 def sweep(ctx, width, k_total, n_max, jobs, fmt, cache_dir):
     """Verify every weight of a conjecture family; exit 0 iff all verify."""
+    from .verify import STATUS_VERIFIED, run_sweep
+
     if jobs < 1:
         raise click.UsageError("--jobs must be >= 1")
     cache = _cache(cache_dir)
@@ -238,6 +248,9 @@ def sweep(ctx, width, k_total, n_max, jobs, fmt, cache_dir):
 @cache_option
 def fit(odd, even, bracket, n_max, max_modulus, fmt, cache_dir):
     """Fit a product exponent sequence to the count table."""
+    from .congruence import residue_class_text
+    from .verify import fit_weight
+
     wv = _weight_vector(odd, even, bracket)
     if max_modulus < 1:
         raise click.UsageError("--max-modulus must be >= 1")

@@ -38,8 +38,6 @@ from .lattice import (
     row_parts,
     row_template,
 )
-from .congruence import PeriodicProduct
-from .qseries import expand
 
 __all__ = [
     "ALGORITHM_VERSION",
@@ -324,6 +322,9 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
         return []
     ((w, level),) = shapes
     single = len(wvs) == 1
+    from .congruence import PeriodicProduct  # the limb width alone needs these
+    from .qseries import expand
+
     colored = expand(PeriodicProduct(2, (-(w // 2), -((w + 1) // 2))), n_max)
     bits = max(colored).bit_length()
     empty = 1 << n_max * bits  # every maximum is 0 before row 0

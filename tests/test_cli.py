@@ -220,7 +220,7 @@ class TestVerify:
             first_mismatch=(1, 1, 10**4300 + 7),
             coefficients=(10**4300 + 7,) + report.coefficients[1:],
         )
-        monkeypatch.setattr("colorparts.cli.verify_weight", lambda *args, **kwargs: huge)
+        monkeypatch.setattr("colorparts.verify.verify_weight", lambda *args, **kwargs: huge)
         limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
         if limit is not None:
             sys.set_int_max_str_digits(4300)  # the default, whatever ran before

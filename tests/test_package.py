@@ -1,9 +1,12 @@
 import importlib
+import os
 import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import colorparts
 
@@ -47,3 +50,62 @@ def test_cli_import_leaves_process_pool_unloaded():
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+PRODUCT_SIDE = (
+    "colorparts.verify",
+    "colorparts.cache",
+    "colorparts.congruence",
+    "colorparts.qseries",
+    "json",
+)
+RUN_MODULE = "runpy.run_module('colorparts.cli', run_name='__main__')"  # python -m
+CONSOLE_SCRIPT = "from colorparts.cli import main; main()"
+
+
+def _fresh_interpreter(code: str) -> str:
+    """The last stdout line of ``code`` run in a new interpreter, with no cache."""
+    src = Path(colorparts.__file__).parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "COLORPARTS_CACHE_DIR"}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, entry, unloaded",
+    [
+        # dim needs only the counting kernel, and a verify without a cache
+        # needs no json or hashlib
+        (["dim", "2,2"], RUN_MODULE, PRODUCT_SIDE),
+        (["dim", "2,2"], CONSOLE_SCRIPT, PRODUCT_SIDE),
+        (["verify", "--even", "0,1", "-N", "5", "--auto"], CONSOLE_SCRIPT,
+         ("json", "hashlib")),
+    ],
+    ids=["dim-runpy", "dim-script", "verify-uncached"],
+)
+def test_a_command_imports_only_what_it_runs(argv, entry, unloaded):
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "try:\n"
+        f"    {entry}\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        f"print([m for m in {unloaded!r} if m in sys.modules])\n"
+    )
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_bare_import_loads_no_submodule():
+    code = (
+        "import sys, colorparts; "
+        "print([m for m in sys.modules if m.startswith('colorparts.')])"
+    )
+    assert _fresh_interpreter(code) == "[]"
