@@ -14,20 +14,21 @@ substitution), total s at limb N - s, and walks every row in one loop: the
 brackets' first rows form a trie keyed by the rows still ahead, one bracket
 being a trie with one leaf, and the deep rows are its root's.  One bracket
 (:func:`count_admissible`) tallies what retires as it walks; several pass
-back once over every row, so each bracket's P(n) is limb N - n of its
-completions, whose limbs never carry (see :func:`count_family`).
-:func:`dimension` sweeps the first rows in plain multiplicities and totals
-the last one by running sums over floors (:func:`_last_row_total`).  Each
-maximum is capped at the level less the prescribed entries left in its
-row, so a state that the row must drop is dropped at once.  A brute-force
-enumerator filtered by explicit path checking is the independent oracle
-and shares no code with the kernel.
+back once over every row, replaying the move tables the walk recorded, so
+each bracket's P(n) is limb N - n of its completions, whose limbs never
+carry (see :func:`count_family`).  :func:`dimension` sweeps the first rows
+in plain multiplicities and totals the last one by running sums over floors
+(:func:`_last_row_total`).  A row's template is all the kernel is told of
+it: each maximum is capped at the level less the prescribed entries left in
+its row, so a state that the row must drop is dropped at once.  A
+brute-force enumerator filtered by explicit path checking is the
+independent oracle and shares no code with the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, count
 from operator import add
 from typing import Optional, Sequence
 
@@ -82,7 +83,7 @@ def _moves(base, prev, fixed, cap, slot):
     runs over m >= max(base, prev) and its ``head``, empty unless prev > base,
     over base <= m < prev, which needs prev <= cap.  The cap is the level, or
     less where the rest of the row would reject a larger m (see
-    :func:`_prefix_cells`).
+    :func:`_sweep_row`).
     """
     lift = -base - prev * slot
     if fixed is not None:
@@ -101,7 +102,6 @@ def _sweep_row(
     moves: Optional[dict] = None,
     bits: int = 0,
     record: Optional[list] = None,
-    caps: Optional[Sequence[int]] = None,
 ) -> dict[int, int]:
     """Advance ``{maxima: weight}`` across diagonal row i one cell at a time.
 
@@ -115,25 +115,35 @@ def _sweep_row(
     dropped with it.  A free cell takes every m in base..cap_t, each unit of
     frequency shifting the weight right by its part 2i - t limbs of ``bits``
     bits (0: plain multiplicities); a prescribed cell (part 0) takes m =
-    base + k alone, if at most cap_t.  ``caps`` defaults to the level in
-    every column; :func:`_prefix_cells` gives the first rows lower ones.
+    base + k alone, if at most cap_t.
+
+    cap_t = level - ahead_t, with ahead_t the sum of the template's
+    prescribed entries past column t.  A downward path on from (i, t) stays
+    in rows i' >= i, whose prescribed cells (i', j) have j >= 2i' >= 2i and
+    carry row i's entry in column j, so the path along row i meets the most.
+    Each maximum on it is at least the one before plus its entry and at most
+    the level, so a larger m_t has no completion and the row would drop it
+    anyway: the row ends with the same dict, weights included.  Caps never
+    fall from row to row, so prev <= cap at every cell of a count.
 
     Moves come from tables keyed by base * R + prev and filled on first use;
     ``moves`` maps (t, k, cap_t) to a table, which fixes every move, and
     carries them through one count.  An entry is two ``range`` runs at most,
     so no entry grows with the level.  ``record``, a family's only, gets the
-    keys before each cell and after the last, for :func:`_sweep_back`.
+    keys before each cell with the cell's table, and the keys after the
+    last, for :func:`_sweep_back`.
     """
     radix = level + 1
     moves = {} if moves is None else moves
-    cells = zip(count(1), template, caps or repeat(level))
+    entries = [k or 0 for k in template]  # 0 at free cells
+    caps = [level - sum(entries[t:]) for t in range(1, len(entries) + 1)]
     frontier = {key * radix: weight for key, weight in states.items()}
-    for t, fixed, cap in cells:
+    for t, fixed, cap in zip(count(1), template, caps):
         shift = max(2 * i - t, 0) * bits  # 0 at prescribed cells: part 0
         slot = radix**t  # what one unit of m_t adds to the key
         table = moves.setdefault((t, fixed, cap), {})
         if record is not None:
-            record.append(tuple(frontier))
+            record.append((tuple(frontier), table))
         grown: dict[int, int] = {}
         get = grown.get
         for key, weight in frontier.items():
@@ -161,54 +171,24 @@ def _sweep_row(
     return out
 
 
-def _prefix_cells(wv: WeightVector, rows: int) -> tuple:
-    """(template, caps) of each of rows 0..rows - 1 of ``wv``.
-
-    cap_{i,t} = level - ahead_{i,t}, with ahead_{i,t} the sum of row i's
-    prescribed entries past column t.  A downward path on from (i, t) stays
-    in rows i' >= i, whose prescribed cells (i', j) have j >= 2i' >= 2i and
-    carry row i's entry in column j, so the path along row i meets the most.
-    Each maximum on it is at least the one before plus its entry and at most
-    the level, so a larger m_{i,t} has no completion and row i would drop it
-    anyway: every row ends with the same dict, weights included.  Caps never
-    fall from row to row, so prev <= cap at every cell.
-    """
-    cells = []
-    for i in range(rows):
-        template = row_template(i, wv)
-        entries = [k or 0 for k in template]  # 0 at free cells
-        caps = tuple(wv.k_total - sum(entries[t:]) for t in range(1, len(entries) + 1))
-        cells.append((template, caps))
-    return tuple(cells)
-
-
 def _sweep_back(
-    record: list,
-    after: dict[int, int],
-    missing: int,
-    i: int,
-    level: int,
-    moves: dict,
-    bits: int,
-    template: Sequence[Optional[int]],
-    caps: Optional[Sequence[int]] = None,
+    record: list, after: dict[int, int], missing: int, i: int, level: int, bits: int
 ) -> dict[int, int]:
     """Completions of row i's start keys from ``after``, those of its end keys.
 
     A completion holds the count of the rows ahead of total s at limb
-    n_max - s, so a cell sums its moves' targets in ``record``, each shifted
-    right by the part its frequency adds (Horner, the last move first); a
-    target the row never recorded reads 0, a key missing from ``after``
-    reads ``missing``.
+    n_max - s, so a cell sums its moves' targets in ``record``, read from
+    the table the sweep used there, each shifted right by the part its
+    frequency adds (Horner, the last move first); a target the row never
+    recorded reads 0, a key missing from ``after`` reads ``missing``.
     """
-    radix = level + 1
-    top = radix ** (len(template) - 1)
-    ahead = {key: after.get(key // radix % top, missing) for key in record[-1]}
-    cells = zip(count(1), template, caps or repeat(level))
-    for t, fixed, cap in reversed(list(cells)):
-        slot, shift, table = radix**t, max(2 * i - t, 0) * bits, moves[t, fixed, cap]
+    radix, (*cells, end) = level + 1, record
+    top = radix ** (len(cells) - 1)
+    ahead = {key: after.get(key // radix % top, missing) for key in end}
+    for t, (keys, table) in reversed(list(enumerate(cells, 1))):
+        slot, shift = radix**t, max(2 * i - t, 0) * bits
         get, behind = ahead.get, {}
-        for key in record[t - 1]:
+        for key in keys:
             head, tail = table[key % radix * radix + key // slot % radix]
             acc = 0
             for d in chain(reversed(tail), reversed(head)) if head else reversed(tail):
@@ -292,7 +272,7 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
     A weight holds the coefficient of total s at limb n_max - s (its budget).
     One loop walks every row.  Each row sweeps every node of a trie once
     into the node one row shorter: a node at row r < r0 = (w + 2) // 2,
-    keyed by the (template, caps) of rows r..r0 - 1, sums the states of the
+    keyed by the templates of rows r..r0 - 1, sums the states of the
     brackets with that suffix, from each bracket's leaf ``{0: 1}`` at limb
     n_max; one bracket is a trie with one leaf.  From r0 on the only node is
     the root ``()``, whose row is free; before each of its rows, limbs whose
@@ -329,10 +309,10 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
     bits = max(colored).bit_length()
     empty = 1 << n_max * bits  # every maximum is 0 before row 0
     r0 = (w + 2) // 2  # the first row free in every column
-    suffixes = [_prefix_cells(wv, r0) for wv in wvs]
+    suffixes = [tuple(row_template(i, wv) for i in range(r0)) for wv in wvs]
     nodes = {suffix: {0: empty} for suffix in suffixes}
     moves: dict = {}
-    rows: list = []  # a family's, per row, each node's: rest, template, caps, keys
+    rows: list = []  # a family's, per row, each node's record
     tally = 0
     for i in count():
         if i >= r0:  # the root alone, whose rows are free
@@ -344,11 +324,9 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
                 break
         grown, row = {}, {}  # the next row's nodes, and this row's for the pass back
         for suffix, node in nodes.items():  # rebinding node drops the last sweep
-            template, caps = suffix[0] if suffix else ((None,) * w, None)
-            rest = suffix[1:]
-            record = None if single else []
-            row[suffix] = rest, template, caps, record
-            node = _sweep_row(node, i, level, template, moves, bits, record, caps)
+            template, rest = suffix[0] if suffix else (None,) * w, suffix[1:]
+            record = row[suffix] = None if single else []
+            node = _sweep_row(node, i, level, template, moves, bits, record)
             if grown.setdefault(rest, node) is not node:  # siblings sum
                 for key, v in node.items():
                     grown[rest][key] = grown[rest].get(key, 0) + v
@@ -362,9 +340,9 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
         for i, nodes in reversed(list(enumerate(rows))):
             done = {
                 suffix: _sweep_back(
-                    keys, done.get(rest, {}), empty, i, level, moves, bits, template, caps
+                    record, done.get(suffix[1:], {}), empty, i, level, bits
                 )
-                for suffix, (rest, template, caps, keys) in nodes.items()
+                for suffix, record in nodes.items()
             }
         totals = [done[suffix][0] for suffix in suffixes]
     limb = (1 << bits) - 1
@@ -460,6 +438,6 @@ def dimension(weights: Sequence[int]) -> int:
         raise ValueError("at least one weight must be positive")
     wv, last = WeightVector.from_odd((0,) + ks), len(ks)
     states, moves = {0: 1}, {}
-    for i, (template, caps) in enumerate(_prefix_cells(wv, last)):
-        states = _sweep_row(states, i, wv.k_total, template, moves, caps=caps)
+    for i in range(last):
+        states = _sweep_row(states, i, wv.k_total, row_template(i, wv), moves)
     return _last_row_total(states, wv.k_total, row_template(last, wv))

@@ -11,6 +11,7 @@ state sums (:func:`colorparts.counting._sweep_row` run row by row) and on
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from colorparts.lattice import WeightVector, row_parts, row_template
@@ -73,14 +74,14 @@ def enumerate_row_frequencies(i: int, wv: WeightVector) -> Iterator[tuple[int, .
         yield gs + prescribed
 
 
-def unmerged_prefix_counts(wv: WeightVector, rows: int) -> list[int]:
-    """Admissible prefixes after each of the first ``rows`` diagonal rows,
-    counted as a flat list of (total, maxima) pairs."""
-    if rows < 1:
-        raise ValueError("need at least one row")
+def unmerged_prefix_pairs(
+    wv: WeightVector, rows: int
+) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
+    """The admissible prefixes after each of diagonal rows 0..``rows``, as a
+    flat list of (total, maxima) pairs per row."""
     level = wv.k_total
-    out: list[int] = []
     pairs: list[tuple[int, tuple[int, ...]]] = [(0, initial_maxima(wv))]
+    yield pairs
     for i in range(1, rows + 1):
         frequency_rows = list(enumerate_row_frequencies(i, wv))
         parts = row_parts(i, wv.width)
@@ -93,5 +94,12 @@ def unmerged_prefix_counts(wv: WeightVector, rows: int) -> list[int]:
                 mass = sum(f * v for f, v in zip(row, parts))
                 grown.append((total + mass, nxt))
         pairs = grown
-        out.append(len(pairs))
-    return out
+        yield pairs
+
+
+def unmerged_prefix_counts(wv: WeightVector, rows: int) -> list[int]:
+    """Admissible prefixes after each of the first ``rows`` diagonal rows,
+    counted as a flat list of (total, maxima) pairs."""
+    if rows < 1:
+        raise ValueError("need at least one row")
+    return [len(pairs) for pairs in islice(unmerged_prefix_pairs(wv, rows), 1, None)]

@@ -21,7 +21,7 @@ from colorparts.lattice import WeightVector, row_template
 from colorparts.qseries import expand
 from colorparts.verify import sweep_weights, verify_weight
 from known_identities import sp_weyl_dimension
-from replay import initial_maxima, unmerged_prefix_counts
+from replay import initial_maxima, unmerged_prefix_counts, unmerged_prefix_pairs
 
 APPENDIX_01 = (1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9, 10, 12, 14, 17, 19, 23, 26, 31)
 APPENDIX_10 = (0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6, 6, 8, 9, 11, 12, 15, 16, 20)
@@ -308,25 +308,32 @@ class TestPrefixCaps:
     @given(wv=small_brackets(), n_max=st.integers(1, 6))
     @example(wv=WeightVector.from_odd((0, 2, 1, 2)), n_max=5)
     @example(wv=WeightVector((2, 1, 1, 1, 0, 0, 0, 0, 0, 0)), n_max=4)
-    def test_capped_first_rows_equal_the_uncapped_sweep(self, wv, n_max):
-        # a count's capped first rows; its moves dict serves both, so capped
-        # and uncapped tables must not mix
+    def test_capped_first_rows_equal_the_unmerged_replay(self, wv, n_max):
+        # a count's first rows end with the replay's admissible prefixes in
+        # its limbs, and rows swept in plain multiplicities (bits 0, as in
+        # dimension) with their number; smaller limbs may carry, so they
+        # are no reference
         calls = []
 
-        def spy(states, i, level, template, moves, bits, record, caps):
-            out = _sweep_row(states, i, level, template, moves, bits, record, caps)
-            calls.append((i, moves, bits, out))
+        def spy(states, i, level, template, moves, bits, record):
+            out = _sweep_row(states, i, level, template, moves, bits, record)
+            calls.append((i, bits, out))
             return out
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(counting, "_sweep_row", spy)
             count_admissible(wv, n_max)
-        r0, (_, moves, bits, _) = (wv.width + 2) // 2, calls[0]
+        r0, radix, states = (wv.width + 2) // 2, wv.k_total + 1, {0: 1}
         assert [i for i, *_ in calls[:r0]] == list(range(r0))
-        states = {0: 1 << n_max * bits}
-        for i, _, _, out in calls[:r0]:
-            states = _sweep_row(states, i, wv.k_total, row_template(i, wv), moves, bits)
-            assert out == states
+        for (i, bits, out), pairs in zip(calls, unmerged_prefix_pairs(wv, r0 - 1)):
+            packed, plain = {}, {}
+            for total, maxima in pairs:
+                key = sum(m * radix**t for t, m in enumerate(maxima[:-1]))
+                plain[key] = plain.get(key, 0) + 1
+                if total <= n_max:
+                    packed[key] = packed.get(key, 0) + (1 << (n_max - total) * bits)
+            states = _sweep_row(states, i, wv.k_total, row_template(i, wv))
+            assert out == packed and states == plain
 
     @settings(deadline=None)
     @given(ks=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
@@ -348,8 +355,9 @@ class TestPrefixCaps:
 
         monkeypatch.setattr(counting, "_sweep_row", spy)
         assert dimension((2, 2, 2, 2, 2)) == 847288609443
-        assert len(record) == 12 and len(record[-1]) == 5319
-        assert max(map(len, record)) == 5319
+        *cells, end = record  # each cell's keys and table, then the end keys
+        assert len(cells) == 11 and len(end) == 5319
+        assert max(len(keys) for keys, _ in cells) == 5319
 
 
 def _family(width, k_total):
@@ -408,9 +416,9 @@ class TestCountFamily:
         # raise its peak memory; a family passes back over every row
         records = []
 
-        def spy(states, i, level, template, moves, bits, record, caps):
+        def spy(states, i, level, template, moves, bits, record):
             records.append(record)
-            return _sweep_row(states, i, level, template, moves, bits, record, caps)
+            return _sweep_row(states, i, level, template, moves, bits, record)
 
         monkeypatch.setattr(counting, "_sweep_row", spy)
         count_admissible(WeightVector.from_even((2, 1, 0, 0, 1)), 40)
@@ -450,8 +458,16 @@ class TestDeepTables:
     # beyond the oracle's reach: the product side shares no code with the
     # kernel, and the digests pin tables counted before keys dropped m_w
 
-    def test_deep_even_weight_matches_its_product(self):
-        report = verify_weight(WeightVector.from_even((2, 1, 0, 0, 1)), 100)
+    @pytest.mark.parametrize(
+        "wv,n_max",
+        [
+            (WeightVector.from_even((2, 1, 0, 0, 1)), 100),
+            (WeightVector.from_odd((2, 0, 0, 1)), 200),  # its product is mod 14
+        ],
+        ids=["even-2,1,0,0,1-N100", "odd-2,0,0,1-N200"],
+    )
+    def test_deep_weight_matches_its_product(self, wv, n_max):
+        report = verify_weight(wv, n_max)
         assert report.status == "verified"
         assert report.first_mismatch is None
 
@@ -474,8 +490,16 @@ class TestDeepTables:
                 24,
                 "e44077aa5caee8b35fb33b63af569eb0d03834347b34f60ba09476a1bb2a8a96",
             ),
+            (
+                WeightVector.from_odd((2, 0, 0, 1)),
+                200,
+                "04ad01ce510e052db69b25e12cb4167b6324f4e358918483b5ef7731bbbf064a",
+            ),
         ],
-        ids=["even-2,1,0,0,1-N200", "even-3,1,0,0,1-N100", "bracket-2,1,1,1-N24"],
+        ids=[
+            "even-2,1,0,0,1-N200", "even-3,1,0,0,1-N100", "bracket-2,1,1,1-N24",
+            "odd-2,0,0,1-N200",
+        ],
     )
     def test_deep_tables_match_their_digests(self, wv, n_max, digest):
         counts = count_admissible(wv, n_max).counts
