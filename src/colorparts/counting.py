@@ -17,12 +17,12 @@ being a trie with one leaf, and the deep rows are its root's.  One bracket
 back once over every row, replaying the move tables the walk recorded, so
 each bracket's P(n) is limb N - n of its completions, whose limbs never
 carry (see :func:`count_family`).  :func:`dimension` sweeps the first rows
-in plain multiplicities and totals the last one by running sums over floors
-(:func:`_last_row_total`).  A row's template is all the kernel is told of
-it: each maximum is capped at the level less the prescribed entries left in
-its row, so a state that the row must drop is dropped at once.  A
-brute-force enumerator filtered by explicit path checking is the
-independent oracle and shares no code with the kernel.
+in plain multiplicities and totals the last one's free cells by running
+sums over floors (:func:`_last_row_total`).  A row's template is all the
+kernel is told of it: each maximum is capped at the level less the
+prescribed entries left in its row, so a state that the row must drop is
+dropped at once.  A brute-force enumerator filtered by explicit path
+checking is the independent oracle and shares no code with the kernel.
 """
 
 from __future__ import annotations
@@ -198,55 +198,44 @@ def _sweep_back(
     return {key // radix: value for key, value in ahead.items()}
 
 
-def _last_row_total(
-    states: dict[int, int], level: int, template: Sequence[Optional[int]]
-) -> int:
-    """Total weight of ``states`` swept across one more row, in multiplicities.
+def _last_row_total(states: dict[int, int], level: int, free: int) -> int:
+    """Total weight of ``states`` swept across ``free`` free cells, in multiplicities.
 
-    As in :func:`_sweep_row`, m_t runs over its floor b..level at a free cell
-    and is b + k, if at most the level, at a prescribed cell k; m_1's floor
+    As in :func:`_sweep_row`, m_t runs over its floor b..level; m_1's floor
     is 0 and the next floor is max(m_t, prev_t).  No m_t is read, so states
     that agree on the prevs still to be read form a group, which keeps its
     weight V[b] per floor b as a list from its lowest floor lo, the last
     entry standing for every floor after it up to the level.  With p =
-    prev_t, a prescribed cell moves V[b] to b + k, folded onto p if below it,
-    and a free cell gives W[b] = S[b] = V[lo] + ... + V[b] for b > p (m = b
+    prev_t, a cell gives W[b] = S[b] = V[lo] + ... + V[b] for b > p (m = b
     from each floor up to b) and W[p] = sum of V[b] (p - b + 1) over b <= p
     (each m in b..p lands on p) = S[lo] + ... + S[p].  Running sums of a
-    nonzero last entry grow, so a free cell spells it out to the level first;
-    a zero one stays implicit, as it must at a level of 10**6.
+    nonzero last entry grow, so a cell spells it out to the level first; a
+    zero one stays implicit, as it must at a level of 10**6.
 
     Every state starts on floor 0, so the first cell is one pass with no
     lists: a state of weight v puts (p + 1) v on floor p and v on each floor
-    past it at a free cell, and v on max(k, p) at a prescribed k <= level.
-    Each group's list is then built once from its per-floor sums.
+    past it.  Each group's list is then built once from its per-floor sums.
     """
-    radix, (first, *template) = level + 1, template
+    radix = level + 1
     sums: dict = {}  # per group, the weight on each floor of m_2
-    for key, weight in states.items() if first is None or first <= level else ():
+    for key, weight in states.items():
         rest, p = divmod(key, radix)
-        floors, b = sums.setdefault(rest, {}), max(first or 0, p)
-        floors[b] = floors.get(b, 0) + weight
+        floors = sums.setdefault(rest, {})
+        floors[p] = floors.get(p, 0) + weight
     groups = {}
     for rest, floors in sums.items():
         lo, below, vals = min(floors), 0, []
         for b in range(lo, max(floors) + 1):
-            v = floors.get(b, 0)
-            if first is None:  # (b + 1) v here, and v on every floor past b
-                v, below = (b + 1) * v + below, below + v
+            v = floors.get(b, 0)  # (b + 1) v here, and v on every floor past b
+            v, below = (b + 1) * v + below, below + v
             vals.append(v)
         groups[rest] = lo, (vals + [below])[: radix - lo]
-    for fixed in template:
+    for _ in range(free - 1):
         merged: dict = {}
         for rest, (lo, vals) in groups.items():
             rest, p = divmod(rest, radix)
-            if fixed is None:
-                pad = radix - lo - len(vals) if vals[-1] else 0
-                vals = list(accumulate(vals + vals[-1:] * pad))
-            else:  # floors past the level drop
-                lo, vals = lo + fixed, vals[: max(radix - lo - fixed, 0)]
-            if not vals:
-                continue
+            pad = radix - lo - len(vals) if vals[-1] else 0
+            vals = list(accumulate(vals + vals[-1:] * pad))
             if p > lo:  # fold floors lo..p onto p
                 n, tail = p + 1 - lo, vals[-1:]
                 head = sum(vals[:n]) + tail[0] * max(n - len(vals), 0)
@@ -427,7 +416,9 @@ def dimension(weights: Sequence[int]) -> int:
     Matrices may have free support only in rows 1..l; no bound is placed on
     the partition mass.  Row l + 1 is the first row free in every column, so
     the count is rows 0..l - 1 swept in plain multiplicities and row l
-    totalled by :func:`_last_row_total`.
+    totalled by :func:`_last_row_total` over its 2l - 1 free cells: the two
+    prescribed zeros after them move no weight off its floor, so they change
+    no total.
     """
     ks = _int_tuple(weights)
     if not ks:
@@ -440,4 +431,4 @@ def dimension(weights: Sequence[int]) -> int:
     states, moves = {0: 1}, {}
     for i in range(last):
         states = _sweep_row(states, i, wv.k_total, row_template(i, wv), moves)
-    return _last_row_total(states, wv.k_total, row_template(last, wv))
+    return _last_row_total(states, wv.k_total, 2 * last - 1)

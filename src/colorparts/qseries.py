@@ -26,11 +26,9 @@ def _apply_unit_factor(coeffs: list[int], j: int, exponent: int) -> None:
     Requires c_0 = 1 and c_1..c_(j-1) = 0.  One pass per unit of |exponent|
     (a divide sums down the j residue chains if j^2 <= n, else block by block),
     or, past the measured break-even of 4 + terms/2 passes for (n-1)//j terms,
-    one with weights C(exponent, k) (-1)^k.  A no-op when j >= n.
+    one with weights C(exponent, k) (-1)^k.
     """
     n = len(coeffs)
-    if j >= n:
-        return
     terms = (n - 1) // j
     if abs(exponent) > 4 + terms // 2:
         b = [1]

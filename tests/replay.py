@@ -1,12 +1,13 @@
-"""The unmerged (total, maxima) replay that the frontier kernel is checked
-against.
+"""The (total, maxima) replays that the frontier kernel is checked against.
 
-Each admissible prefix is kept as its own pair of partition total and the
-full tuple of running path maxima m_1..m_w, grown one whole frequency row
-at a time by :func:`maxima_step`.  Nothing is merged, packed or tabled, so
-its per-row pair counts are an independent check on the kernel's per-row
-state sums (:func:`colorparts.counting._sweep_row` run row by row) and on
-:func:`colorparts.counting.dimension`.
+Each admissible prefix is a pair of partition total and the full tuple of
+running path maxima m_1..m_w, grown one whole frequency row at a time by
+:func:`maxima_step`.  Unmerged, nothing is packed or tabled, so its per-row
+pair counts are an independent check on the kernel's per-row state sums
+(:func:`colorparts.counting._sweep_row` run row by row) and on
+:func:`colorparts.counting.dimension`.  Merged by (total, maxima) and cut at
+a degree, :func:`replay_count` counts whole tables to depths that the
+brute-force oracle cannot reach.
 """
 
 from __future__ import annotations
@@ -103,3 +104,35 @@ def unmerged_prefix_counts(wv: WeightVector, rows: int) -> list[int]:
     if rows < 1:
         raise ValueError("need at least one row")
     return [len(pairs) for pairs in islice(unmerged_prefix_pairs(wv, rows), 1, None)]
+
+
+def replay_count(wv: WeightVector, n_max: int) -> tuple[int, ...]:
+    """P(1..n_max) from a merged ``{(total, maxima): count}`` grown row by row.
+
+    Totals past n_max are dropped.  Once 2i - w > n_max, row i and every row
+    after it are free with parts above n_max, so they stay empty, and an
+    empty free row keeps any prefix admissible: P(n) is the sum of the
+    counts at total n.  No packing, move tables, caps, trie, retirement or
+    pass back.
+    """
+    level, w = wv.k_total, wv.width
+    states = {(0, initial_maxima(wv)): 1}
+    for i in range(1, (n_max + w) // 2 + 1):  # the rows with 2i - w <= n_max
+        parts, grown = row_parts(i, w), {}
+        rows = sorted(
+            (sum(f * v for f, v in zip(row, parts)), row)
+            for row in enumerate_row_frequencies(i, wv)
+        )
+        for (total, prev), c in states.items():
+            for mass, row in rows:
+                if total + mass > n_max:
+                    break
+                nxt = maxima_step(prev, row, level)
+                if nxt is not None:
+                    key = total + mass, nxt
+                    grown[key] = grown.get(key, 0) + c
+        states = grown
+    counts = [0] * (n_max + 1)
+    for (total, _), c in states.items():
+        counts[total] += c
+    return tuple(counts[1:])

@@ -21,7 +21,12 @@ from colorparts.lattice import WeightVector, row_template
 from colorparts.qseries import expand
 from colorparts.verify import sweep_weights, verify_weight
 from known_identities import sp_weyl_dimension
-from replay import initial_maxima, unmerged_prefix_counts, unmerged_prefix_pairs
+from replay import (
+    initial_maxima,
+    replay_count,
+    unmerged_prefix_counts,
+    unmerged_prefix_pairs,
+)
 
 APPENDIX_01 = (1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9, 10, 12, 14, 17, 19, 23, 26, 31)
 APPENDIX_10 = (0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6, 6, 8, 9, 11, 12, 15, 16, 20)
@@ -105,10 +110,10 @@ class TestOracleSweep:
 
 
 @st.composite
-def small_brackets(draw):
-    """Width 2..5, level 1..3: each drawn slot adds one unit of level."""
-    width = draw(st.integers(2, 5))
-    slots = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=3))
+def small_brackets(draw, widest=5, deepest=3):
+    """Width 2..widest, level 1..deepest: each drawn slot adds one unit of level."""
+    width = draw(st.integers(2, widest))
+    slots = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=deepest))
     return WeightVector(tuple(slots.count(t) for t in range(width)))
 
 
@@ -230,74 +235,75 @@ class TestKernelLayout:
 
     @pytest.mark.parametrize("ks", [(2,), (1, 2), (2, 0, 1)])
     def test_final_row_is_one_running_total(self, ks):
-        wv = WeightVector.from_odd((0,) + ks)
-        level = wv.k_total
-        states = _sweep_row({0: 1}, 0, level, row_template(0, wv))
-        for i in range(1, len(ks) + 1):
-            template = row_template(i, wv)
-            final = _last_row_total(states, level, template)
-            states = _sweep_row(states, i, level, template)
-            assert final == sum(states.values())
+        wv, last = WeightVector.from_odd((0,) + ks), len(ks)
+        level, states = wv.k_total, {0: 1}
+        for i in range(last):
+            states = _sweep_row(states, i, level, row_template(i, wv))
+        final = _sweep_row(states, last, level, row_template(last, wv))
+        assert _last_row_total(states, level, 2 * last - 1) == sum(final.values())
 
 
 class TestLastRowTotal:
-    # level 3, prev_1 = 0 and prev_2 = p: column 1 prescribes 1, so column 2
-    # starts from floor b = 1 and meets p < b, p = b or p > b
+    # each total is also the sum of the row swept by _sweep_row over free cells
+    @staticmethod
+    def swept_total(states, free):
+        return sum(_sweep_row(states, 2, 3, (None,) * free).values())
+
+    # level 3, prev_1 = 1 and prev_2 = p: m_2's floors start at b = 1, the
+    # group's lowest floor, and meet p < b, p = b or p > b
     @pytest.mark.parametrize(
-        "template,p,expected",
+        "p,expected",
         [
-            ((1, None, None), 0, 6),  # m_2 in 1..3, then 3 + 2 + 1 ways
-            ((1, None, None), 1, 6),
-            ((1, None, None), 2, 5),  # m_2 = 1, 2 land on floor 2
-            ((1, 0, None), 0, 3),  # m_2 = 1, then m_3 in 1..3
-            ((1, 0, None), 1, 3),
-            ((1, 0, None), 2, 2),  # m_2 = 1 lands on floor 2
+            (0, 16),  # m_2 = 1, 2, 3 in 2, 3, 4 ways, then 3 + 2 + 1 ways
+            (1, 16),
+            (2, 14),  # m_2 = 1 lands on floor 2
         ],
-        ids=["free-p<b", "free-p=b", "free-p>b", "fixed-p<b", "fixed-p=b", "fixed-p>b"],
+        ids=["free-p<b", "free-p=b", "free-p>b"],
     )
-    def test_floor_against_prev(self, template, p, expected):
-        states = {p * 4: 1}
-        assert _last_row_total(states, 3, template) == expected
-        assert sum(_sweep_row(states, 2, 3, template).values()) == expected
+    def test_floor_against_prev(self, p, expected):
+        states = {1 + p * 4: 1}
+        assert _last_row_total(states, 3, 3) == expected
+        assert self.swept_total(states, 3) == expected
 
     def test_groups_that_meet_are_added(self):
         # states that differ only in prev_1 merge after column 1
         states = {p1 + 4 * p2: 1 + p1 for p1 in range(4) for p2 in range(4)}
-        for template in iproduct([None, 0, 1, 2], repeat=3):
-            total = sum(_sweep_row(states, 2, 3, template).values())
-            assert _last_row_total(states, 3, template) == total, template
+        for free in (1, 2, 3):
+            assert _last_row_total(states, 3, free) == self.swept_total(states, free)
 
     # level 3, w = 3: keys hold p + 4 prev_2 with p = prev_1 and prev_2 = 1,
     # so states of different p share the rest of their key
     @pytest.mark.parametrize(
-        "states,template,expected",
+        "states,expected",
         [
-            ({4: 1, 7: 2}, (4, None, None), 0),  # k = 4 above the level: no move
-            ({7: 2}, (None, None, None), 8),  # p = level: m_1 in 0..3 lands on 3
-            ({4: 1, 7: 1}, (None, None, None), 23),  # p = 0, 3: 19 + 4 ways
-            ({4: 1, 6: 1}, (1, None, None), 9),  # p = 0, 2: floors 1, 2
-            ({4: 1, 5: 1, 7: 1}, (3, None, None), 3),  # all on floor 3
-            ({4: 1, 5: 2, 7: 3}, (None, None, None), 63),  # 19 + 2 * 16 + 3 * 4
+            ({7: 2}, 8),  # p = level: m_1 in 0..3 lands on 3
+            ({4: 1, 7: 1}, 23),  # p = 0, 3: 19 + 4 ways
+            ({4: 1, 5: 2, 7: 3}, 63),  # 19 + 2 * 16 + 3 * 4
         ],
-        ids=[
-            "fixed>level", "free-p=level", "free-gap", "fixed-p<>k", "fixed=level",
-            "free-mixed",
-        ],
+        ids=["free-p=level", "free-gap", "free-mixed"],
     )
-    def test_first_cell_edge_cases(self, states, template, expected):
-        assert _last_row_total(states, 3, template) == expected
-        assert sum(_sweep_row(states, 2, 3, template).values()) == expected
+    def test_first_cell_edge_cases(self, states, expected):
+        assert _last_row_total(states, 3, 3) == expected
+        assert self.swept_total(states, 3) == expected
 
     @settings(deadline=None)
     @given(ks=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
     def test_total_of_every_row_of_an_odd_weight(self, ks):
-        wv = WeightVector.from_odd((0, *ks))
+        # every row ends in two prescribed zeros, which change no total; the
+        # last row's cells before them are free, so _last_row_total totals it
+        # (its full sweep: test_capped_rows_leave_the_last_row_total)
+        wv, last = WeightVector.from_odd((0, *ks)), len(ks)
         level, moves, states = wv.k_total, {}, {0: 1}
-        for i in range(len(ks) + 1):
+        for i in range(last):
             template = row_template(i, wv)
-            total = _last_row_total(states, level, template)
+            cut = _sweep_row(states, i, level, template[:-2], moves)
             states = _sweep_row(states, i, level, template, moves)
-            assert total == sum(states.values())
+            assert template[-2:] == (0, 0)
+            assert sum(states.values()) == sum(cut.values())
+        free = (None,) * (2 * last - 1)
+        assert row_template(last, wv) == free + (0, 0)
+        cut = _sweep_row(states, last, level, free, moves)
+        assert _last_row_total(states, level, len(free)) == sum(cut.values())
 
 
 class TestPrefixCaps:
@@ -338,11 +344,10 @@ class TestPrefixCaps:
     @settings(deadline=None)
     @given(ks=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
     def test_capped_rows_leave_the_last_row_total(self, ks):
-        wv, rows = WeightVector.from_odd((0, *ks)), len(ks)
-        level, template, states = wv.k_total, row_template(rows, wv), {0: 1}
-        for i in range(rows):
-            states = _sweep_row(states, i, level, row_template(i, wv))
-        assert dimension(ks) == _last_row_total(states, level, template)
+        wv, moves, states = WeightVector.from_odd((0, *ks)), {}, {0: 1}
+        for i in range(len(ks) + 1):
+            states = _sweep_row(states, i, wv.k_total, row_template(i, wv), moves)
+        assert dimension(ks) == sum(states.values())
 
     def test_no_cell_of_row_four_outgrows_its_row_end(self, monkeypatch):
         # uncapped, row 4 of (2,2,2,2,2) grows to 18,086 states before the
@@ -454,6 +459,25 @@ class TestCountFamily:
             count_family([WeightVector((1, 0)), WeightVector((1, 1))], 5)
 
 
+class TestMergedReplay:
+    # replay_count shares no packing, move tables, caps, trie, retirement or
+    # pass back with the kernel, and reaches depths the brute force cannot,
+    # where P(n) needs 15 to 20 bits
+    @settings(deadline=None, max_examples=40)
+    @given(wv=small_brackets(widest=8, deepest=4), n_max=st.integers(1, 30))
+    @example(wv=WeightVector.from_even((2, 1, 0, 0, 1)), n_max=24)
+    @example(wv=WeightVector.from_odd((1, 1, 0, 1)), n_max=30)
+    def test_kernel_equals_the_replay(self, wv, n_max):
+        assert count_admissible(wv, n_max).counts == replay_count(wv, n_max)
+
+    @pytest.mark.parametrize("width,k_total,n_max", [(4, 3, 30), (6, 2, 30), (7, 2, 24)])
+    def test_families_equal_the_replay(self, width, k_total, n_max):
+        # the trie and the pass back, at depth
+        wvs = _family(width, k_total)
+        tables = count_family(wvs, n_max)
+        assert [table.counts for table in tables] == [replay_count(wv, n_max) for wv in wvs]
+
+
 class TestDeepTables:
     # beyond the oracle's reach: the product side shares no code with the
     # kernel, and the digests pin tables counted before keys dropped m_w
@@ -559,6 +583,15 @@ class TestDimension:
         # observed, not a claimed theorem
         assert dimension((k,) * rank) == (k + 1) ** (rank * rank)
 
+    @settings(deadline=None)
+    @given(
+        ks=st.lists(st.integers(0, 5), min_size=1, max_size=3).filter(any)
+        | st.lists(st.integers(0, 2), min_size=4, max_size=4).filter(any)
+    )
+    def test_weyl_dimension_property(self, ks):
+        # observed, not a claimed theorem
+        assert dimension(ks) == sp_weyl_dimension(ks)
+
     def test_collapsed_last_row_matches_unmerged_replay(self):
         for rank in (1, 2, 3):
             for ks in iproduct(range(3), repeat=rank):
@@ -580,12 +613,11 @@ class TestDimension:
 
 
 def prefix_pair_counts(wv, rows):
-    """Kernel state sums after each of rows 1..rows, the last one only totalled."""
+    """Kernel state sums after each of rows 1..rows."""
     level, moves, states, out = wv.k_total, {}, {0: 1}, []
-    for i in range(rows):
+    for i in range(rows + 1):
         states = _sweep_row(states, i, level, row_template(i, wv), moves)
         out.append(sum(states.values()))
-    out.append(_last_row_total(states, level, row_template(rows, wv)))
     return out[1:]
 
 

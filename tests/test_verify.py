@@ -231,25 +231,16 @@ class TestSweep:
         serial = [verify_weight(WeightVector.from_even(ks), 15) for ks in sweep_weights(4, 2)]
         assert [_stripped(r) for r in swept] == [_stripped(r) for r in serial]
 
-    def test_warm_sweep_starts_no_pool(self, tmp_path, monkeypatch):
+    def test_a_sweep_forks_nothing(self, tmp_path, monkeypatch):
+        # a sweep counts in this process, cold or warm
+        def no_fork():
+            raise AssertionError("a sweep forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         cold = run_sweep(4, 2, 15, cache=CountCache(tmp_path))
-
-        def no_fork():
-            raise AssertionError("a fully cached sweep forked a worker")
-
-        monkeypatch.setattr(os, "fork", no_fork)
         warm = run_sweep(4, 2, 15, cache=CountCache(tmp_path))
+        assert [r.status for r in cold] == [STATUS_VERIFIED] * 6
         assert [_stripped(r) for r in warm] == [_stripped(r) for r in cold]
-
-    def test_workers_are_clamped_to_the_usable_cores(self, monkeypatch):
-        # a sweep counts in this process, so one usable core forks nothing
-        def no_fork():
-            raise AssertionError("a sweep on one usable core forked a worker")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        reports = run_sweep(4, 2, 10)
-        assert [r.status for r in reports] == [STATUS_VERIFIED] * 6
 
     @pytest.mark.parametrize("missing", [1, 2])
     def test_sweep_loads_each_entry_once(self, tmp_path, monkeypatch, missing):
