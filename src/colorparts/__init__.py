@@ -11,22 +11,7 @@ command that needs only the counting kernel never loads the product side.
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "STATUS_VERIFIED",
-    "WeightVector",
-    "brute_force_count",
-    "count_admissible",
-    "dimension",
-    "even_width_product",
-    "expand",
-    "fit_weight",
-    "lepowsky_product",
-    "parse_residue_spec",
-    "run_sweep",
-    "verify_weight",
-]
-
-# The submodule that each name in __all__ comes from.
+# The submodule that each exported name comes from.
 _EXPORTS = {
     "congruence": ("even_width_product", "lepowsky_product", "parse_residue_spec"),
     "counting": ("brute_force_count", "count_admissible", "dimension"),
@@ -34,6 +19,7 @@ _EXPORTS = {
     "qseries": ("expand",),
     "verify": ("STATUS_VERIFIED", "fit_weight", "run_sweep", "verify_weight"),
 }
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 
 def __getattr__(name):

@@ -2,27 +2,27 @@
 
 One kernel, :func:`_sweep_row`, advances running path maxima, packed into
 one int in radix level + 1, across a diagonal row one cell at a time (the
-transfer-matrix method with a moving frontier).  A key holds only the maxima
-m_1..m_{w-1} of the first w - 1 columns: a cell of frequency f has
+transfer-matrix method with a moving frontier).  Keys have one layout: the
+running floor in slot 0, 0 between rows, and column t's maximum m_t in slot
+t, of which rows keep only m_1..m_{w-1}: a cell of frequency f has
 m_{i+1,j} = f + max(m_{i+1,j-1}, m_{i,j-1}), so row i + 1 reads row i only
 at columns 1..w-1, and states that differ only in m_w have the same future
-and merge.  A state's moves through a cell depend only on the cell
-and two of its maxima, so they are read from tables that each count owns
-and fills on first use, in runs of key deltas.  :func:`count_family`, the
-one counting driver, packs each state's coefficients into one int (Kronecker
+and merge.  A state's moves through a cell depend only on the cell and two
+of its maxima, so they are read from tables that each count owns and fills
+on first use, in runs of key deltas.  :func:`count_family`, the one counting
+driver, packs each state's coefficients into one int (Kronecker
 substitution), total s at limb N - s, and walks every row in one loop: the
-brackets' first rows form a trie keyed by the rows still ahead, one bracket
-being a trie with one leaf, and the deep rows are its root's.  One bracket
-(:func:`count_admissible`) tallies what retires as it walks; several pass
-back once over every row, replaying the move tables the walk recorded, so
-each bracket's P(n) is limb N - n of its completions, whose limbs never
-carry (see :func:`count_family`).  :func:`dimension` sweeps the first rows
-in plain multiplicities and totals the last one's free cells by running
-sums over floors (:func:`_last_row_total`).  A row's template is all the
-kernel is told of it: each maximum is capped at the level less the
-prescribed entries left in its row, so a state that the row must drop is
-dropped at once.  A brute-force enumerator filtered by explicit path
-checking is the independent oracle and shares no code with the kernel.
+brackets' first rows form a trie keyed by the rows still ahead, and the deep
+rows are its root's.  One bracket (:func:`count_admissible`) tallies the
+states that retire as it walks; several pass back once over every row,
+replaying the move tables the walk recorded, so each bracket's P(n) is limb
+N - n of its completions (see :func:`count_family`).  :func:`dimension`
+sweeps the first rows in plain multiplicities and totals the last one's free
+cells by running sums over floors (:func:`_last_row_total`).  A row's
+template is all the kernel is told of it: each maximum is capped at the
+level less the prescribed entries left in its row, so a state that the row
+must drop is dropped at once.  A brute-force enumerator filtered by explicit
+path checking is the independent oracle and shares no code with the kernel.
 """
 
 from __future__ import annotations
@@ -105,17 +105,17 @@ def _sweep_row(
 ) -> dict[int, int]:
     """Advance ``{maxima: weight}`` across diagonal row i one cell at a time.
 
-    Keys hold maxima m_1..m_{w-1} in slots 0..w-2 of an int in radix R =
-    level + 1.  The row starts from key * R; after column t, slot 0 holds
-    base = max(m_t, prev_t), the floor of m_{t+1}, slots 1..t hold m_1..m_t
-    and slots t+1..w hold prev_{t+1}..prev_w, with prev_w = 0.  The row ends
-    with key // R mod R**(w-1): m_{t+1} = f + max(m_t, prev_t), that is
-    m_{i+1,j} = f + max(m_{i+1,j-1}, m_{i,j-1}), so no later cell reads
-    m_w, and prev_w = 0 changes only the base after column w, which is
-    dropped with it.  A free cell takes every m in base..cap_t, each unit of
-    frequency shifting the weight right by its part 2i - t limbs of ``bits``
-    bits (0: plain multiplicities); a prescribed cell (part 0) takes m =
-    base + k alone, if at most cap_t.
+    Keys are ints in radix R = level + 1, taken as the last row left them:
+    slot 0 holds the floor, 0, and slot t the maximum prev_t of column t in
+    the row before, with prev_w = 0.  After column t, slot 0 holds
+    base = max(m_t, prev_t), the floor of m_{t+1}, and slots 1..t hold
+    m_1..m_t.  The row ends with key % R**w - key % R, which drops the floor
+    and m_w: m_{t+1} = f + max(m_t, prev_t), so no later cell reads m_w, and
+    prev_w = 0 changes only the base after column w, which is dropped with it.
+    A free cell takes every m in base..cap_t, each unit of frequency shifting
+    the weight right by its part 2i - t limbs of ``bits`` bits (0: plain
+    multiplicities); a prescribed cell (part 0) takes m = base + k alone, if
+    at most cap_t.
 
     cap_t = level - ahead_t, with ahead_t the sum of the template's
     prescribed entries past column t.  A downward path on from (i, t) stays
@@ -137,7 +137,7 @@ def _sweep_row(
     moves = {} if moves is None else moves
     entries = [k or 0 for k in template]  # 0 at free cells
     caps = [level - sum(entries[t:]) for t in range(1, len(entries) + 1)]
-    frontier = {key * radix: weight for key, weight in states.items()}
+    frontier = states
     for t, fixed, cap in zip(count(1), template, caps):
         shift = max(2 * i - t, 0) * bits  # 0 at prescribed cells: part 0
         slot = radix**t  # what one unit of m_t adds to the key
@@ -163,10 +163,9 @@ def _sweep_row(
         frontier = grown
     if record is not None:
         record.append(tuple(frontier))
-    out: dict[int, int] = {}
-    top = radix ** (len(template) - 1)  # drops m_w, which no row reads
+    out, top = {}, radix ** len(template)
     for key, weight in frontier.items():
-        key = key // radix % top
+        key = key % top - key % radix  # drops the floor and m_w, which no row reads
         out[key] = out.get(key, 0) + weight
     return out
 
@@ -177,14 +176,14 @@ def _sweep_back(
     """Completions of row i's start keys from ``after``, those of its end keys.
 
     A completion holds the count of the rows ahead of total s at limb
-    n_max - s, so a cell sums its moves' targets in ``record``, read from
-    the table the sweep used there, each shifted right by the part its
-    frequency adds (Horner, the last move first); a target the row never
-    recorded reads 0, a key missing from ``after`` reads ``missing``.
+    n_max - s, so a cell sums its moves' targets in ``record``, read from the
+    table the sweep used there, each shifted right by the part its frequency
+    adds (Horner, the last move first); a target the row never recorded reads
+    0, and an end key reads ``after`` at its row-end key, or ``missing``.
     """
     radix, (*cells, end) = level + 1, record
-    top = radix ** (len(cells) - 1)
-    ahead = {key: after.get(key // radix % top, missing) for key in end}
+    top = radix ** len(cells)
+    ahead = {key: after.get(key % top - key % radix, missing) for key in end}
     for t, (keys, table) in reversed(list(enumerate(cells, 1))):
         slot, shift = radix**t, max(2 * i - t, 0) * bits
         get, behind = ahead.get, {}
@@ -195,22 +194,22 @@ def _sweep_back(
                 acc = get(key + d, 0) + (acc >> shift)
             behind[key] = acc
         ahead = behind
-    return {key // radix: value for key, value in ahead.items()}
+    return ahead
 
 
 def _last_row_total(states: dict[int, int], level: int, free: int) -> int:
     """Total weight of ``states`` swept across ``free`` free cells, in multiplicities.
 
-    As in :func:`_sweep_row`, m_t runs over its floor b..level; m_1's floor
-    is 0 and the next floor is max(m_t, prev_t).  No m_t is read, so states
-    that agree on the prevs still to be read form a group, which keeps its
-    weight V[b] per floor b as a list from its lowest floor lo, the last
-    entry standing for every floor after it up to the level.  With p =
-    prev_t, a cell gives W[b] = S[b] = V[lo] + ... + V[b] for b > p (m = b
-    from each floor up to b) and W[p] = sum of V[b] (p - b + 1) over b <= p
-    (each m in b..p lands on p) = S[lo] + ... + S[p].  Running sums of a
-    nonzero last entry grow, so a cell spells it out to the level first; a
-    zero one stays implicit, as it must at a level of 10**6.
+    As in :func:`_sweep_row`, a key holds prev_t in slot t and m_t runs over
+    its floor b..level; m_1's floor is 0 and the next is max(m_t, prev_t).  No
+    m_t is read, so states that agree on the prevs still to be read form a
+    group, which keeps its weight V[b] per floor b as a list from its lowest
+    floor lo, the last entry standing for every floor after it up to the
+    level.  With p = prev_t, a cell gives W[b] = S[b] = V[lo] + ... + V[b] for
+    b > p (m = b from each floor up to b) and W[p] = sum of V[b] (p - b + 1)
+    over b <= p (each m in b..p lands on p) = S[lo] + ... + S[p].  Running
+    sums of a nonzero last entry grow, so a cell spells it out to the level
+    first; a zero one stays implicit, as it must at a level of 10**6.
 
     Every state starts on floor 0, so the first cell is one pass with no
     lists: a state of weight v puts (p + 1) v on floor p and v on each floor
@@ -219,7 +218,7 @@ def _last_row_total(states: dict[int, int], level: int, free: int) -> int:
     radix = level + 1
     sums: dict = {}  # per group, the weight on each floor of m_2
     for key, weight in states.items():
-        rest, p = divmod(key, radix)
+        rest, p = divmod(key // radix, radix)
         floors = sums.setdefault(rest, {})
         floors[p] = floors.get(p, 0) + weight
     groups = {}
@@ -259,28 +258,29 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
     """Exact P(1..n_max) of each of some brackets of one width w and level.
 
     A weight holds the coefficient of total s at limb n_max - s (its budget).
-    One loop walks every row.  Each row sweeps every node of a trie once
-    into the node one row shorter: a node at row r < r0 = (w + 2) // 2,
-    keyed by the templates of rows r..r0 - 1, sums the states of the
-    brackets with that suffix, from each bracket's leaf ``{0: 1}`` at limb
-    n_max; one bracket is a trie with one leaf.  From r0 on the only node is
-    the root ``()``, whose row is free; before each of its rows, limbs whose
-    budget is below the row's smallest part retire, and the walk stops once
-    every state has retired.  One bracket tallies what retires.  Several
-    record every row's keys, and one pass back (:func:`_sweep_back`) gives
-    each key's completions, which depend only on the rows ahead, so P(n) is
-    limb n_max - n of key 0's at a bracket's leaf.  A target the walk never
-    reached reads 0 and a retired key reads as empty rows: sums, shifts and
-    retirement are monotone, so the walk reaches each key that one bracket
-    reaches with budget left, and the rest lies past n_max.
+    One loop walks every row, sweeping every node of a trie once into the node
+    one row shorter: a node at row r < r0 = (w + 2) // 2, keyed by the
+    templates of rows r..r0 - 1, sums the states of the brackets with that
+    suffix, from each bracket's leaf ``{0: 1}`` at limb n_max; one bracket is
+    one leaf.  From r0 on the only node is the root ``()``, whose row is free.
+    Before its row i, a state of weight below 1 << (2i - w) bits has no budget
+    for the row's parts and retires whole, until none is left: any limb below
+    that bound follows only the zero-frequency move, as every other move
+    shifts by at least 2i - w limbs, so one bracket tallies it once, when its
+    state retires.  Several record every row's keys, and one pass back
+    (:func:`_sweep_back`) gives each key's completions, which depend only on
+    the rows ahead, so P(n) is limb n_max - n of key 0's at a bracket's leaf.
+    A target the walk never reached reads 0 and a retired key as empty rows:
+    sums, shifts and retirement are monotone, so the walk reaches each key
+    that one bracket reaches with budget left, and the rest lies past n_max.
 
     Limbs sized for n_max suffice.  An admissible partition of n embeds into
-    the colored partitions of n with #{j <= w : j = v mod 2} colours for
-    part v, and a limb of the tally or of a completion counts distinct such
+    the colored partitions of n with #{j <= w : j = v mod 2} colours for part
+    v, and a limb of the tally or of a completion counts distinct such
     partitions (of the rows ahead) of one total s <= n_max, since a shift
-    drops the totals past n_max instead of carrying them.  So no limb
-    exceeds the largest colored count up to n_max.  Summed forward weights
-    may carry, but only upward, which keeps every key the walk needs.
+    drops the totals past n_max instead of carrying them.  So no limb exceeds
+    the largest colored count up to n_max, nor carries in one bracket.  A
+    family's sums carry only upward, keeping every key the pass back needs.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -305,10 +305,10 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
     tally = 0
     for i in count():
         if i >= r0:  # the root alone, whose rows are free
-            low = (1 << (2 * i - w) * bits) - 1  # budgets below row i's parts
+            least = 1 << (2 * i - w) * bits  # below it, no budget fits row i's parts
             if single:
-                tally += sum(v & low for v in nodes[()].values())
-            nodes[()] = {key: v & ~low for key, v in nodes[()].items() if v > low}
+                tally += sum(v for v in nodes[()].values() if v < least)
+            nodes[()] = {key: v for key, v in nodes[()].items() if v >= least}
             if not nodes[()]:
                 break
         grown, row = {}, {}  # the next row's nodes, and this row's for the pass back

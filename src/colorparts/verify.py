@@ -108,12 +108,14 @@ def verify_weight(
     wv: WeightVector,
     n_max: int,
     product: Optional[PeriodicProduct] = None,
-    product_source: str = "conjecture",
+    product_source: Optional[str] = None,
     cache: Optional[CountCache] = None,
     table: Optional[CountTable] = None,
 ) -> VerificationReport:
     """Count, expand, compare; report the first mismatch if any.  A
-    ``table`` already loaded is compared instead of counting."""
+    ``table`` already loaded is compared instead of counting.  A given
+    ``product`` is labelled ``product_source``, or "given" if unnamed; with
+    none, the conjectured product is labelled "conjecture"."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if table is not None and table.n_max != n_max:
@@ -122,6 +124,8 @@ def verify_weight(
     if product is None:
         product = conjectured_product(wv)
         product_source = "conjecture"
+    elif product_source is None:
+        product_source = "given"
     if table is None:
         table = cached_counts([wv], n_max, cache)[0]
     series = expand(product, n_max)

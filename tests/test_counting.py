@@ -188,25 +188,26 @@ class TestKernelLayout:
 
     @pytest.mark.parametrize("bracket", BRACKETS)
     def test_row_zero_key_is_initial_maxima_in_radix_level_plus_one(self, bracket):
-        # the key keeps m_1..m_{w-1}; no row reads m_w
+        # the key keeps m_1..m_{w-1} in slots 1..w-1 and the floor, 0 between
+        # rows, in slot 0; no row reads m_w
         wv = WeightVector(bracket)
         radix = wv.k_total + 1
         kept = initial_maxima(wv)[:-1]
         assert max(initial_maxima(wv)) == wv.k_total
         if bracket in ((0, 1), (0, 0, 1, 0, 2)):  # k_1 = 0: the level is kept
             assert kept[-1] == wv.k_total
-        key = sum(m * radix**t for t, m in enumerate(kept))
+        key = sum(m * radix**t for t, m in enumerate(kept, 1))
         assert _sweep_row({0: 1}, 0, wv.k_total, row_template(0, wv)) == {key: 1}
 
     @settings(deadline=None)
     @given(wv=small_brackets())
     def test_keys_drop_the_last_maximum(self, wv):
-        level, w = wv.k_total, wv.width
+        radix, w = wv.k_total + 1, wv.width
         unmerged = unmerged_prefix_counts(wv, 3)
         states = {0: 1}
         for i in range(4):
-            states = _sweep_row(states, i, level, row_template(i, wv))
-            assert all(0 <= key < (level + 1) ** (w - 1) for key in states)
+            states = _sweep_row(states, i, wv.k_total, row_template(i, wv))
+            assert all(0 <= key < radix**w and key % radix == 0 for key in states)
             if i:
                 assert sum(states.values()) == unmerged[i - 1]
 
@@ -249,8 +250,9 @@ class TestLastRowTotal:
     def swept_total(states, free):
         return sum(_sweep_row(states, 2, 3, (None,) * free).values())
 
-    # level 3, prev_1 = 1 and prev_2 = p: m_2's floors start at b = 1, the
-    # group's lowest floor, and meet p < b, p = b or p > b
+    # level 3, prev_1 = 1 and prev_2 = p in slots 1 and 2 (slot 0, the floor,
+    # is 0): m_2's floors start at b = 1, the group's lowest floor, and meet
+    # p < b, p = b or p > b
     @pytest.mark.parametrize(
         "p,expected",
         [
@@ -261,24 +263,24 @@ class TestLastRowTotal:
         ids=["free-p<b", "free-p=b", "free-p>b"],
     )
     def test_floor_against_prev(self, p, expected):
-        states = {1 + p * 4: 1}
+        states = {4 * (1 + p * 4): 1}
         assert _last_row_total(states, 3, 3) == expected
         assert self.swept_total(states, 3) == expected
 
     def test_groups_that_meet_are_added(self):
         # states that differ only in prev_1 merge after column 1
-        states = {p1 + 4 * p2: 1 + p1 for p1 in range(4) for p2 in range(4)}
+        states = {4 * (p1 + 4 * p2): 1 + p1 for p1 in range(4) for p2 in range(4)}
         for free in (1, 2, 3):
             assert _last_row_total(states, 3, free) == self.swept_total(states, free)
 
-    # level 3, w = 3: keys hold p + 4 prev_2 with p = prev_1 and prev_2 = 1,
-    # so states of different p share the rest of their key
+    # level 3, w = 3: keys hold 4 (p + 4 prev_2) with p = prev_1 and prev_2 =
+    # 1, so states of different p share the rest of their key
     @pytest.mark.parametrize(
         "states,expected",
         [
-            ({7: 2}, 8),  # p = level: m_1 in 0..3 lands on 3
-            ({4: 1, 7: 1}, 23),  # p = 0, 3: 19 + 4 ways
-            ({4: 1, 5: 2, 7: 3}, 63),  # 19 + 2 * 16 + 3 * 4
+            ({4 * 7: 2}, 8),  # p = level: m_1 in 0..3 lands on 3
+            ({4 * 4: 1, 4 * 7: 1}, 23),  # p = 0, 3: 19 + 4 ways
+            ({4 * 4: 1, 4 * 5: 2, 4 * 7: 3}, 63),  # 19 + 2 * 16 + 3 * 4
         ],
         ids=["free-p=level", "free-gap", "free-mixed"],
     )
@@ -334,7 +336,7 @@ class TestPrefixCaps:
         for (i, bits, out), pairs in zip(calls, unmerged_prefix_pairs(wv, r0 - 1)):
             packed, plain = {}, {}
             for total, maxima in pairs:
-                key = sum(m * radix**t for t, m in enumerate(maxima[:-1]))
+                key = sum(m * radix**t for t, m in enumerate(maxima[:-1], 1))
                 plain[key] = plain.get(key, 0) + 1
                 if total <= n_max:
                     packed[key] = packed.get(key, 0) + (1 << (n_max - total) * bits)
@@ -519,10 +521,15 @@ class TestDeepTables:
                 200,
                 "04ad01ce510e052db69b25e12cb4167b6324f4e358918483b5ef7731bbbf064a",
             ),
+            (  # long and narrow: its states retire over ~1,500 root rows
+                WeightVector.from_even((0, 1)),
+                3000,
+                "269ee8931a330d67167680c0b23a2726f6ee4538853da29be188aa6ef7601911",
+            ),
         ],
         ids=[
             "even-2,1,0,0,1-N200", "even-3,1,0,0,1-N100", "bracket-2,1,1,1-N24",
-            "odd-2,0,0,1-N200",
+            "odd-2,0,0,1-N200", "even-0,1-N3000",
         ],
     )
     def test_deep_tables_match_their_digests(self, wv, n_max, digest):

@@ -66,6 +66,14 @@ class TestVerifyWeight:
         assert report.status == STATUS_MISMATCH
         assert report.first_mismatch == (1, 0, 1)
 
+    def test_a_given_product_is_labelled_given_unless_named(self):
+        # a mismatch against an unnamed product is not a failed conjecture
+        wv, spec = WeightVector.from_even((1, 0)), parse_residue_spec("2,3 mod 5")
+        assert verify_weight(wv, 20, product=spec).product_source == "given"
+        named = verify_weight(wv, 20, product=spec, product_source="spec")
+        assert named.product_source == "spec"
+        assert verify_weight(wv, 20).product_source == "conjecture"
+
     def test_odd_level_two_against_listed_classes(self):
         report = verify_weight(
             WeightVector.from_odd((2, 0, 0)),
