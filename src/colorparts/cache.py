@@ -1,11 +1,11 @@
-"""Content-addressed on-disk cache for count tables.
+"""On-disk cache for count tables, one file per key.
 
-Keys are hashes of (algorithm version, bracket, n_max), so any change to the
-counting kernel invalidates stale entries.  Writes go through a temp file
-and an atomic rename; concurrent readers are safe and the last writer for a
-key wins with a complete file either way.  :func:`cached_counts` is the one
-path through the cache: it loads each entry once and counts the misses
-together.
+An entry is named by its key, as in ``frontier-2_2-1-0-1_100.json`` for
+(algorithm version, bracket, n_max), so any change to the counting kernel
+invalidates stale entries.  Writes go through a temp file and an atomic
+rename; concurrent readers are safe and the last writer for a key wins with
+a complete file either way.  :func:`cached_counts` is the one path through
+the cache: it loads each entry once and counts the misses together.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = ["CountCache", "cached_counts"]
 
 
 def _key(wv: WeightVector, n_max: int) -> dict:
-    """The record an entry is filed under; its sorted JSON names the file."""
+    """The record an entry holds; :meth:`CountCache.load` checks it whole."""
     return {"algorithm": ALGORITHM_VERSION, "bracket": list(wv.bracket), "n_max": n_max}
 
 
@@ -33,12 +33,10 @@ class CountCache:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, wv: WeightVector, n_max: int) -> Path:
-        import hashlib  # imported here, like json: runs without a cache never load them
-        import json
-
-        payload = json.dumps(_key(wv, n_max), sort_keys=True)
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        return self.root / f"{digest}.json"
+        # One name per key, as bracket entries are nonnegative ints.  A name
+        # the file system refuses (a bracket ~110 wide) is unwritable: a miss.
+        bracket = "-".join(map(str, wv.bracket))
+        return self.root / f"{ALGORITHM_VERSION}_{bracket}_{n_max}.json"
 
     def load(self, wv: WeightVector, n_max: int) -> Optional[CountTable]:
         import json

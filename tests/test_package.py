@@ -38,8 +38,8 @@ def test_readme_library_snippet_runs_as_commented():
 
 
 def test_cli_import_leaves_process_pool_unloaded():
-    # no command needs a process pool or pickle, only a cache needs hashlib
-    # and only csv output needs csv
+    # no command needs a process pool, pickle or hashlib, and only csv
+    # output needs csv
     src = Path(colorparts.__file__).parents[1]
     code = (
         "import sys, colorparts.cli; "
@@ -61,6 +61,18 @@ PRODUCT_SIDE = (
 )
 RUN_MODULE = "runpy.run_module('colorparts.cli', run_name='__main__')"  # python -m
 CONSOLE_SCRIPT = "from colorparts.cli import main; main()"
+HASHLIB = ("hashlib", "_hashlib")
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A cache that holds every table of ``sweep -w 4 -k 2 -N 20``."""
+    from colorparts.cache import CountCache
+    from colorparts.verify import run_sweep
+
+    root = tmp_path_factory.mktemp("warm-cache")
+    run_sweep(4, 2, 20, cache=CountCache(root))
+    return root
 
 
 def _fresh_interpreter(code: str) -> str:
@@ -87,10 +99,20 @@ def _fresh_interpreter(code: str) -> str:
         (["dim", "2,2"], CONSOLE_SCRIPT, PRODUCT_SIDE),
         (["verify", "--even", "0,1", "-N", "5", "--auto"], CONSOLE_SCRIPT,
          ("json", "hashlib")),
+        # an entry is named by its key, so no cached command loads hashlib:
+        # a cold sweep stores the family that a warm verify and fit read
+        (["sweep", "-w", "4", "-k", "2", "-N", "20", "--cache-dir", "COLD"],
+         CONSOLE_SCRIPT, HASHLIB),
+        (["verify", "--even", "1,0,1", "-N", "20", "--auto", "--cache-dir", "WARM"],
+         CONSOLE_SCRIPT, HASHLIB),
+        (["fit", "--even", "1,0,1", "-N", "20", "--cache-dir", "WARM"],
+         CONSOLE_SCRIPT, HASHLIB),
     ],
-    ids=["dim-runpy", "dim-script", "verify-uncached"],
+    ids=["dim-runpy", "dim-script", "verify-uncached", "sweep-cold-cache",
+         "verify-warm-cache", "fit-warm-cache"],
 )
-def test_a_command_imports_only_what_it_runs(argv, entry, unloaded):
+def test_a_command_imports_only_what_it_runs(argv, entry, unloaded, tmp_path, warm_cache):
+    argv = [str({"COLD": tmp_path, "WARM": warm_cache}.get(arg, arg)) for arg in argv]
     code = (
         "import runpy, sys\n"
         f"sys.argv[1:] = {argv!r}\n"

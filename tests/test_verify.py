@@ -4,7 +4,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from colorparts.cache import CountCache, cached_counts
 from colorparts.congruence import (
@@ -352,14 +352,25 @@ class TestCache:
         assert len(list(tmp_path.iterdir())) == 1
 
     def test_entry_file_name_is_pinned(self, tmp_path):
-        # sha256 of the sorted JSON key {algorithm, bracket, n_max}, as cached
-        # under ALGORITHM_VERSION "frontier-2"; any other name would turn every
+        # the key's fields {algorithm, bracket, n_max}, as cached under
+        # ALGORITHM_VERSION "frontier-2"; any other name would turn every
         # existing entry into a miss without a version bump
         cache = CountCache(tmp_path)
         cached_counts([WeightVector((0, 1))], 12, cache)
-        assert [entry.name for entry in tmp_path.iterdir()] == [
-            "5b04db90b779c6af6d2a1ff9fe4b17a7890335afa78a7d52a0b28f74d8f46f7c.json"
-        ]
+        assert [entry.name for entry in tmp_path.iterdir()] == ["frontier-2_0-1_12.json"]
+
+    def test_a_name_too_long_to_write_is_a_miss(self, tmp_path):
+        # 130 entries name a file of more than 255 bytes, which the file
+        # system refuses; the table is still counted, just never stored
+        cache = CountCache(tmp_path)
+        wv = WeightVector((0,) * 129 + (1,))
+        table = count_admissible(wv, 4)
+        assert len(cache._path(wv, 4).name.encode()) > 255
+        cache.store(wv, 4, table)
+        assert cache.load(wv, 4) is None
+        assert list(tmp_path.iterdir()) == []
+        assert cached_counts([wv], 4, cache)[0] == table
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_entries_are_recomputed(self, tmp_path):
         cache = CountCache(tmp_path)
@@ -396,16 +407,31 @@ class TestCache:
 
     @settings(deadline=None)
     @given(
-        bracket=st.lists(st.integers(0, 3), min_size=2, max_size=6).filter(any),
-        counts=st.lists(st.integers(0, 2**80), min_size=1, max_size=12),
+        brackets=st.lists(
+            st.lists(st.integers(0, 12), min_size=2, max_size=6).filter(any),
+            min_size=2,
+            max_size=2,
+        ),
+        counts=st.lists(
+            st.lists(st.integers(0, 2**80), min_size=1, max_size=12),
+            min_size=2,
+            max_size=2,
+        ),
     )
-    def test_store_then_load_round_trips(self, bracket, counts):
-        wv = WeightVector(tuple(bracket))
-        table = CountTable(len(counts), tuple(counts))
+    def test_store_then_load_round_trips(self, brackets, counts):
+        # two keys in one directory: each loads back its own table
+        entries = {
+            (WeightVector(tuple(b)), len(c)): CountTable(len(c), tuple(c))
+            for b, c in zip(brackets, counts)
+        }
+        assume(len(entries) == 2)
         with tempfile.TemporaryDirectory() as root:
             cache = CountCache(root)
-            cache.store(wv, table.n_max, table)
-            assert cache.load(wv, table.n_max) == table
+            for (wv, n_max), table in entries.items():
+                cache.store(wv, n_max, table)
+            for (wv, n_max), table in entries.items():
+                assert cache.load(wv, n_max) == table
+            assert len(os.listdir(root)) == 2
 
     def test_verify_with_cache_matches_without(self, tmp_path):
         wv = WeightVector.from_even((2, 0))
