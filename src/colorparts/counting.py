@@ -11,10 +11,11 @@ and merge.  A state's moves through a cell depend only on the cell and two
 of its maxima, so they are read from tables that each count owns and fills
 on first use, in runs of key deltas.  :func:`count_family`, the one counting
 driver, packs each state's coefficients into one int (Kronecker
-substitution), total s at limb N - s, and walks every row in one loop: the
-brackets' first rows form a trie keyed by the rows still ahead, and the deep
-rows are its root's.  One bracket (:func:`count_admissible`) tallies the
-states that retire as it walks; several pass back once over every row,
+substitution), total s at limb N - s, in limbs sized by a row-capped bound
+(:func:`_limb_bits`), and walks every row in one loop: the brackets' first
+rows form a trie keyed by the rows still ahead, and the deep rows are its
+root's.  One bracket (:func:`count_admissible`) tallies the states that
+retire as it walks; several pass back once over every row,
 replaying the move tables the walk recorded, so each bracket's P(n) is limb
 N - n of its completions (see :func:`count_family`).  :func:`dimension`
 sweeps the first rows in plain multiplicities and totals the last one's free
@@ -51,6 +52,10 @@ __all__ = [
 
 # Bump when the kernel changes in any way that could alter cached tables.
 ALGORITHM_VERSION = "frontier-2"
+
+# The most states a frontier of dimension's rows may hold: ~1.7 times the
+# 1,202,001 that dimension((100, 100, 100)) peaks at, with ~250 MiB.
+STATE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,7 @@ def _sweep_row(
     moves: Optional[dict] = None,
     bits: int = 0,
     record: Optional[list] = None,
+    budget: Optional[int] = None,
 ) -> dict[int, int]:
     """Advance ``{maxima: weight}`` across diagonal row i one cell at a time.
 
@@ -131,7 +137,9 @@ def _sweep_row(
     carries them through one count.  An entry is two ``range`` runs at most,
     so no entry grows with the level.  ``record``, a family's only, gets the
     keys before each cell with the cell's table, and the keys after the
-    last, for :func:`_sweep_back`.
+    last, for :func:`_sweep_back`.  A frontier that passes ``budget`` states
+    raises ``ValueError`` as soon as it does, before the cell ends: one cell
+    can multiply the states by up to the level.
     """
     radix = level + 1
     moves = {} if moves is None else moves
@@ -146,7 +154,10 @@ def _sweep_row(
             record.append((tuple(frontier), table))
         grown: dict[int, int] = {}
         get = grown.get
-        for key, weight in frontier.items():
+        items = frontier.items()
+        if budget is not None:
+            items = _within(items, grown, budget)
+        for key, weight in items:
             try:
                 head, tail = table[key % radix * radix + key // slot % radix]
             except KeyError:
@@ -168,6 +179,14 @@ def _sweep_row(
         key = key % top - key % radix  # drops the floor and m_w, which no row reads
         out[key] = out.get(key, 0) + weight
     return out
+
+
+def _within(items, grown: dict, budget: int):
+    """``items``, raising ``ValueError`` once ``grown`` holds over ``budget`` keys."""
+    for item in items:
+        yield item
+        if len(grown) > budget:
+            raise ValueError(f"more than {budget:,} states in one frontier (the budget)")
 
 
 def _sweep_back(
@@ -249,6 +268,61 @@ def _last_row_total(states: dict[int, int], level: int, free: int) -> int:
     return sum(sum(v) + v[-1] * (radix - lo - len(v)) for lo, v in groups.values())
 
 
+def _limb_bits(wvs: Sequence[WeightVector], n_max: int) -> int:
+    """Bits of the largest coefficient up to q^n_max of prod_i R_i(q).
+
+    R_i(q) sums q^(f_1 p_1 + f_2 p_2 + ...) over frequencies f_t of row i's
+    free cells, of parts p_t = 2i - t, with f_1 + f_2 + ... <= cap_i, the
+    level less the least prescribed total of row i in ``wvs`` (see
+    :func:`count_family`).  The coefficient of q^0 is 1, so the result is at
+    least 1.  Rows whose parts all pass n_max add nothing, so the rows end
+    once 2i - w does.
+    """
+    w, level = wvs[0].width, wvs[0].k_total
+    rows = []
+    for i in range(1, (n_max + w) // 2 + 1):
+        templates = [row_template(i, wv) for wv in wvs]
+        cap = level - min(sum(k or 0 for k in template) for template in templates)
+        parts = [2 * i - t for t, k in enumerate(templates[0], 1) if k is None]
+        rows.append((parts, cap))
+    size = 1  # bytes per limb, doubled until no guard is set
+    while (product := _capped_product(rows, n_max, size)) is None:
+        size *= 2
+    data = product.to_bytes((n_max + 1) * size, "little")
+    limbs = range(0, len(data), size)
+    return max(int.from_bytes(data[b : b + size], "little") for b in limbs).bit_length()
+
+
+def _capped_product(rows: list, n_max: int, size: int) -> Optional[int]:
+    """prod_i R_i(q) packed in limbs of ``size`` bytes, or None if one overflows.
+
+    Packed as a weight is, total s at limb n_max - s, so a part is a right
+    shift and the totals past n_max fall off.  A row multiplies the product
+    layer by layer: A_u, its fillings of the row's cells so far whose
+    frequencies sum to u, takes A_u + (A_{u-1} >> p) at a cell of part p,
+    for u = 1..cap_i in turn (A_{u-1} has taken the cell already, so it may
+    repeat), and the row ends with the sum of its layers.
+    Each limb keeps its top bit as a guard, checked after every addition:
+    the terms' limbs are each below half the limb, so their sum carries into
+    no other limb, and a set guard gives up before the next addition could.
+    """
+    bits = 8 * size
+    guard = int.from_bytes((bytes(size - 1) + b"\x80") * (n_max + 1), "little")
+    product = 1 << n_max * bits
+    for parts, cap in rows:
+        layers = [product] + [0] * cap
+        for p in parts:
+            for u in range(1, cap + 1):
+                layers[u] += layers[u - 1] >> p * bits
+                if layers[u] & guard:
+                    return None
+        for layer in layers[1:]:
+            product += layer
+            if product & guard:
+                return None
+    return product
+
+
 def count_admissible(wv: WeightVector, n_max: int) -> CountTable:
     """Exact P(1..n_max): :func:`count_family` of the one bracket."""
     return count_family([wv], n_max)[0]
@@ -274,13 +348,20 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
     sums, shifts and retirement are monotone, so the walk reaches each key
     that one bracket reaches with budget left, and the rest lies past n_max.
 
-    Limbs sized for n_max suffice.  An admissible partition of n embeds into
-    the colored partitions of n with #{j <= w : j = v mod 2} colours for part
-    v, and a limb of the tally or of a completion counts distinct such
-    partitions (of the rows ahead) of one total s <= n_max, since a shift
-    drops the totals past n_max instead of carrying them.  So no limb exceeds
-    the largest colored count up to n_max, nor carries in one bracket.  A
-    family's sums carry only upward, keeping every key the pass back needs.
+    Limbs of :func:`_limb_bits` bits suffice.  A diagonal row is a downward
+    path, so row i's free entries sum to at most cap_i, the level less the
+    row's prescribed total; in mid-row, m_t is at least the row's entries up
+    to column t, and a free cell caps it at cap_i.  So a limb of a forward weight, of
+    the tally or of a completion counts distinct fillings of some rows (those
+    behind, or those ahead), each within its row's cap, of one total s <=
+    n_max, since a shift drops the totals past n_max instead of carrying
+    them.  With the other rows empty, these embed into the row-capped
+    fillings of every row, which the coefficient of q^s in prod_i R_i(q)
+    counts, so no limb exceeds the largest coefficient up to n_max, nor
+    carries in one bracket.  A family takes each row's largest cap over its
+    brackets, which covers each bracket's own and the completions of rows
+    they share.  Its forward sums, of several brackets, may carry, but only
+    upward, keeping every key the pass back needs.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -291,11 +372,7 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
         return []
     ((w, level),) = shapes
     single = len(wvs) == 1
-    from .congruence import PeriodicProduct  # the limb width alone needs these
-    from .qseries import expand
-
-    colored = expand(PeriodicProduct(2, (-(w // 2), -((w + 1) // 2))), n_max)
-    bits = max(colored).bit_length()
+    bits = _limb_bits(wvs, n_max)
     empty = 1 << n_max * bits  # every maximum is 0 before row 0
     r0 = (w + 2) // 2  # the first row free in every column
     suffixes = [tuple(row_template(i, wv) for i in range(r0)) for wv in wvs]
@@ -418,7 +495,8 @@ def dimension(weights: Sequence[int]) -> int:
     the count is rows 0..l - 1 swept in plain multiplicities and row l
     totalled by :func:`_last_row_total` over its 2l - 1 free cells: the two
     prescribed zeros after them move no weight off its floor, so they change
-    no total.
+    no total.  A frontier of more than :data:`STATE_BUDGET` states raises
+    ``ValueError``.
     """
     ks = _int_tuple(weights)
     if not ks:
@@ -430,5 +508,6 @@ def dimension(weights: Sequence[int]) -> int:
     wv, last = WeightVector.from_odd((0,) + ks), len(ks)
     states, moves = {0: 1}, {}
     for i in range(last):
-        states = _sweep_row(states, i, wv.k_total, row_template(i, wv), moves)
+        template = row_template(i, wv)
+        states = _sweep_row(states, i, wv.k_total, template, moves, budget=STATE_BUDGET)
     return _last_row_total(states, wv.k_total, 2 * last - 1)

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import colorparts
 from colorparts import __version__
+from colorparts import counting
 from colorparts.cache import CountCache
 from colorparts.cli import main
 from colorparts.lattice import WeightVector
@@ -326,6 +327,14 @@ class TestDim:
 
     def test_zero_weights_usage_error(self):
         assert run("dim", "0,0").exit_code == 2
+
+    def test_past_the_state_budget_is_a_usage_error(self, monkeypatch):
+        monkeypatch.setattr(counting, "STATE_BUDGET", 1000)
+        result = run("dim", "2,2,2,2,2")
+        assert result.exit_code == 2
+        assert result.output.endswith(
+            "Error: more than 1,000 states in one frontier (the budget)\n"
+        )
 
 
 class TestCacheWiring:

@@ -17,7 +17,7 @@ from colorparts.counting import (
     count_family,
     dimension,
 )
-from colorparts.lattice import WeightVector, row_template
+from colorparts.lattice import WeightVector, row_parts, row_template
 from colorparts.qseries import expand
 from colorparts.verify import sweep_weights, verify_weight
 from known_identities import sp_weyl_dimension
@@ -435,9 +435,10 @@ class TestCountFamily:
         assert len(records) > 20 and all(type(record) is list for record in records)
 
     def test_limbs_hold_the_totals_past_n_max(self):
-        # limbs take the colored bound at N: this family is where a carry
-        # out of the totals past N would corrupt P(10) of (0,5,3)^e if the
-        # count multiplied prefixes by completions
+        # limbs take the row-capped bound at N, each row at its largest cap
+        # in the family: this family is where a carry out of the totals past
+        # N would corrupt P(10) of (0,5,3)^e if the count multiplied prefixes
+        # by completions
         wvs = _family(4, 8)
         assert count_family(wvs, 10) == [count_admissible(wv, 10) for wv in wvs]
 
@@ -459,6 +460,89 @@ class TestCountFamily:
             count_family([WeightVector((1, 0)), WeightVector((1, 0, 0, 0))], 5)
         with pytest.raises(ValueError):  # two levels
             count_family([WeightVector((1, 0)), WeightVector((1, 1))], 5)
+
+
+def row_capped_bits(wvs, n_max):
+    """The bound of ``counting._limb_bits`` in plain lists: each row's R_i(q)
+    from a table of (frequency sum, total) over its free cells, then the
+    product of the rows' coefficient lists, cut at n_max."""
+    w, level = wvs[0].width, wvs[0].k_total
+    product = [1] + [0] * n_max
+    for i in range(1, (n_max + w) // 2 + 1):
+        templates = [row_template(i, wv) for wv in wvs]
+        cap = level - min(sum(k or 0 for k in t) for t in templates)
+        parts = [p for p, k in zip(row_parts(i, w), templates[0]) if k is None]
+        ways = {(0, 0): 1}
+        for part in parts:
+            grown = {}
+            for (used, total), n in ways.items():
+                for f in range(cap - used + 1):
+                    if total + f * part > n_max:
+                        break
+                    key = (used + f, total + f * part)
+                    grown[key] = grown.get(key, 0) + n
+            ways = grown
+        row = [0] * (n_max + 1)
+        for (_, total), n in ways.items():
+            row[total] += n
+        product = [
+            sum(product[a] * row[s - a] for a in range(s + 1)) for s in range(n_max + 1)
+        ]
+    return max(product).bit_length()
+
+
+class TestLimbBits:
+    @settings(deadline=None)
+    @given(wv=small_brackets(), n_max=st.integers(1, 15))
+    def test_bound_covers_every_count_and_never_passes_the_colored_one(self, wv, n_max):
+        # every P(n) counts row-capped fillings, which embed into the
+        # colored partitions of n
+        w, top = wv.width, 2 * n_max
+        colored = expand(PeriodicProduct(2, (-(w // 2), -((w + 1) // 2))), top)
+        bits = counting._limb_bits([wv], top)
+        assert max(count_admissible(wv, top).counts).bit_length() <= bits
+        assert bits <= max(colored).bit_length()
+
+    @pytest.mark.parametrize(
+        "wv,n_max,bits",
+        [
+            (WeightVector.from_even((2, 1, 0, 0, 1)), 100, 44),  # colored: 59
+            (WeightVector.from_even((3, 1, 0, 0, 1)), 60, 33),
+            (WeightVector.from_odd((2, 0, 0, 1)), 80, 36),
+            (WeightVector((2, 1, 1, 1, 0, 0, 0, 0, 0, 0)), 24, 18),  # colored: 28
+            (WeightVector.from_even((0, 1)), 100, 18),
+            (WeightVector((1, 0)), 1, 1),  # row 1's cap is 0: q^0 alone
+        ],
+    )
+    def test_bound_equals_the_list_product(self, wv, n_max, bits):
+        assert counting._limb_bits([wv], n_max) == row_capped_bits([wv], n_max) == bits
+
+    def test_a_family_takes_each_rows_largest_cap(self):
+        # the carry case of test_limbs_hold_the_totals_past_n_max
+        wvs = _family(4, 8)
+        bits = counting._limb_bits(wvs, 10)
+        assert bits == row_capped_bits(wvs, 10)
+        assert bits >= max(counting._limb_bits([wv], 10) for wv in wvs)
+        tables = count_family(wvs, 10)
+        assert max(max(table.counts) for table in tables).bit_length() <= bits
+
+    def test_a_set_guard_widens_the_limbs(self, monkeypatch):
+        # the bound of (0,1)^e at N=100 needs 18 bits, past the 7 of a
+        # one-byte limb and the 15 of a two-byte one, each below its guard
+        # bit, so the product starts again twice
+        sizes = []
+
+        def spy(rows, n_max, size):
+            product = capped_product(rows, n_max, size)
+            sizes.append((size, product is None))
+            return product
+
+        capped_product = counting._capped_product
+        monkeypatch.setattr(counting, "_capped_product", spy)
+        wv = WeightVector.from_even((0, 1))
+        assert counting._limb_bits([wv], 100) == row_capped_bits([wv], 100) == 18
+        assert sizes == [(1, True), (2, True), (4, False)]
+        assert count_admissible(wv, 100).counts == replay_count(wv, 100)
 
 
 class TestMergedReplay:
@@ -617,6 +701,37 @@ class TestDimension:
             dimension((0, 0))
         with pytest.raises(ValueError):
             dimension(())
+
+
+class TestStateBudget:
+    def test_a_frontier_past_the_budget_is_refused(self, monkeypatch):
+        # (2,2,2,2,2) peaks at 5,319 states, in row 4
+        monkeypatch.setattr(counting, "STATE_BUDGET", 5319)
+        assert dimension((2, 2, 2, 2, 2)) == 847288609443
+        monkeypatch.setattr(counting, "STATE_BUDGET", 5318)
+        with pytest.raises(ValueError, match="more than 5,318 states"):
+            dimension((2, 2, 2, 2, 2))
+
+    def test_the_budget_stops_a_cell_before_it_ends(self, monkeypatch):
+        # the last free cell of row 2 of (60,60,60) takes 7,381 states to
+        # 264,801, so a check only at cell ends would come after them
+        frontiers = []
+
+        def spy(items, grown, budget):
+            frontiers.append(grown)
+            return within(items, grown, budget)
+
+        within = counting._within
+        monkeypatch.setattr(counting, "_within", spy)
+        monkeypatch.setattr(counting, "STATE_BUDGET", 10_000)
+        with pytest.raises(ValueError, match="more than 10,000 states"):
+            dimension((60, 60, 60))
+        assert 10_000 < len(frontiers[-1]) <= 10_000 + 181  # one state's moves
+
+    def test_counts_take_no_budget(self, monkeypatch):
+        monkeypatch.setattr(counting, "STATE_BUDGET", 1)
+        table = count_admissible(WeightVector((0, 0, 1, 0, 0)), 6)
+        assert table.counts == (1, 2, 3, 3, 5, 7)
 
 
 def prefix_pair_counts(wv, rows):

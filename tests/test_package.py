@@ -99,6 +99,9 @@ def _fresh_interpreter(code: str) -> str:
         (["dim", "2,2"], CONSOLE_SCRIPT, PRODUCT_SIDE),
         (["verify", "--even", "0,1", "-N", "5", "--auto"], CONSOLE_SCRIPT,
          ("json", "hashlib")),
+        # the kernel sizes its own limbs, so a count loads no product side
+        (["count", "--even", "0,1", "-N", "20"], CONSOLE_SCRIPT,
+         ("colorparts.verify", "colorparts.congruence", "colorparts.qseries", "json")),
         # an entry is named by its key, so no cached command loads hashlib:
         # a cold sweep stores the family that a warm verify and fit read
         (["sweep", "-w", "4", "-k", "2", "-N", "20", "--cache-dir", "COLD"],
@@ -108,8 +111,8 @@ def _fresh_interpreter(code: str) -> str:
         (["fit", "--even", "1,0,1", "-N", "20", "--cache-dir", "WARM"],
          CONSOLE_SCRIPT, HASHLIB),
     ],
-    ids=["dim-runpy", "dim-script", "verify-uncached", "sweep-cold-cache",
-         "verify-warm-cache", "fit-warm-cache"],
+    ids=["dim-runpy", "dim-script", "verify-uncached", "count-uncached",
+         "sweep-cold-cache", "verify-warm-cache", "fit-warm-cache"],
 )
 def test_a_command_imports_only_what_it_runs(argv, entry, unloaded, tmp_path, warm_cache):
     argv = [str({"COLD": tmp_path, "WARM": warm_cache}.get(arg, arg)) for arg in argv]
