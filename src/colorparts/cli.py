@@ -80,7 +80,7 @@ cache_option = click.option(
 def _bounded_n(ctx, param, value: int) -> int:
     if value < 1:
         raise click.UsageError("-N must be >= 1")
-    if value > 10**6:  # the cap on spec numbers, so no table outgrows memory
+    if value > 10**6:  # the cap on spec numbers, not a bound on a table's memory
         raise click.UsageError("-N must be <= 1000000")
     return value
 
@@ -208,7 +208,13 @@ def verify(ctx, odd, even, bracket, n_max, auto, spec_text, fmt, cache_dir):
 @click.option("-w", "width", type=int, required=True, help="Array width.")
 @click.option("-k", "k_total", type=int, required=True, help="Total level.")
 @n_option
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option(
+    "--jobs",
+    type=int,
+    default=1,
+    show_default=True,
+    help="Accepted for compatibility; has no effect.",
+)
 @format_option
 @cache_option
 @click.pass_context

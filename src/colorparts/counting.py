@@ -10,14 +10,14 @@ at columns 1..w-1, and states that differ only in m_w have the same future
 and merge.  A state's moves through a cell depend only on the cell and two
 of its maxima, so they are read from tables that each count owns and fills
 on first use, in runs of key deltas.  :func:`count_family`, the one counting
-driver, packs each state's coefficients into one int (Kronecker
-substitution), total s at limb N - s, in limbs sized by a row-capped bound
-(:func:`_limb_bits`), and walks every row in one loop: the brackets' first
-rows form a trie keyed by the rows still ahead, and the deep rows are its
-root's.  One bracket (:func:`count_admissible`) tallies the states that
-retire as it walks; several pass back once over every row,
-replaying the move tables the walk recorded, so each bracket's P(n) is limb
-N - n of its completions (see :func:`count_family`).  :func:`dimension`
+driver, packs each state's coefficients into one int (Kronecker substitution),
+total s at limb N - s, in limbs of the bits that a row-capped bound needs
+(:func:`_limb_bits`), which only :func:`_limbs` reads.  It walks every row in
+one loop: the brackets' first rows form a trie keyed by the rows still ahead,
+and the deep rows are its root's.  One bracket (:func:`count_admissible`)
+tallies the states that retire as it walks; several pass back once over every
+row, replaying the move tables the walk recorded, so each bracket's P(n) is
+limb N - n of its completions (see :func:`count_family`).  :func:`dimension`
 sweeps the first rows in plain multiplicities and totals the last one's free
 cells by running sums over floors (:func:`_last_row_total`).  A row's
 template is all the kernel is told of it: each maximum is capped at the
@@ -137,9 +137,8 @@ def _sweep_row(
     carries them through one count.  An entry is two ``range`` runs at most,
     so no entry grows with the level.  ``record``, a family's only, gets the
     keys before each cell with the cell's table, and the keys after the
-    last, for :func:`_sweep_back`.  A frontier that passes ``budget`` states
-    raises ``ValueError`` as soon as it does, before the cell ends: one cell
-    can multiply the states by up to the level.
+    last, for :func:`_sweep_back`.  A frontier past ``budget`` states raises
+    ``ValueError`` after that state: a cell can multiply it by up to the level.
     """
     radix = level + 1
     moves = {} if moves is None else moves
@@ -154,10 +153,7 @@ def _sweep_row(
             record.append((tuple(frontier), table))
         grown: dict[int, int] = {}
         get = grown.get
-        items = frontier.items()
-        if budget is not None:
-            items = _within(items, grown, budget)
-        for key, weight in items:
+        for key, weight in frontier.items():
             try:
                 head, tail = table[key % radix * radix + key // slot % radix]
             except KeyError:
@@ -171,6 +167,10 @@ def _sweep_row(
                 weight >>= shift
                 if not weight:
                     break
+            if budget is not None and len(grown) > budget:
+                raise ValueError(
+                    f"more than {budget:,} states in one frontier (the budget)"
+                )
         frontier = grown
     if record is not None:
         record.append(tuple(frontier))
@@ -179,14 +179,6 @@ def _sweep_row(
         key = key % top - key % radix  # drops the floor and m_w, which no row reads
         out[key] = out.get(key, 0) + weight
     return out
-
-
-def _within(items, grown: dict, budget: int):
-    """``items``, raising ``ValueError`` once ``grown`` holds over ``budget`` keys."""
-    for item in items:
-        yield item
-        if len(grown) > budget:
-            raise ValueError(f"more than {budget:,} states in one frontier (the budget)")
 
 
 def _sweep_back(
@@ -276,7 +268,7 @@ def _limb_bits(wvs: Sequence[WeightVector], n_max: int) -> int:
     level less the least prescribed total of row i in ``wvs`` (see
     :func:`count_family`).  The coefficient of q^0 is 1, so the result is at
     least 1.  Rows whose parts all pass n_max add nothing, so the rows end
-    once 2i - w does.
+    once 2i - w does.  Limbs start at 8 bits and double until none overflows.
     """
     w, level = wvs[0].width, wvs[0].k_total
     rows = []
@@ -285,29 +277,32 @@ def _limb_bits(wvs: Sequence[WeightVector], n_max: int) -> int:
         cap = level - min(sum(k or 0 for k in template) for template in templates)
         parts = [2 * i - t for t, k in enumerate(templates[0], 1) if k is None]
         rows.append((parts, cap))
-    size = 1  # bytes per limb, doubled until no guard is set
-    while (product := _capped_product(rows, n_max, size)) is None:
-        size *= 2
-    data = product.to_bytes((n_max + 1) * size, "little")
-    limbs = range(0, len(data), size)
-    return max(int.from_bytes(data[b : b + size], "little") for b in limbs).bit_length()
+    bits = 8
+    while (product := _capped_product(rows, n_max, bits)) is None:
+        bits *= 2
+    return max(_limbs(product, n_max, bits)).bit_length()
 
 
-def _capped_product(rows: list, n_max: int, size: int) -> Optional[int]:
-    """prod_i R_i(q) packed in limbs of ``size`` bytes, or None if one overflows.
+def _limbs(packed: int, n_max: int, bits: int) -> list[int]:
+    """Coefficients of totals 0..n_max: limbs n_max..0 of ``bits`` bits, in turn."""
+    digits = format(packed, f"0{(n_max + 1) * bits}b")  # base 2 has no digit limit
+    return [int(digits[b : b + bits], 2) for b in range(0, len(digits), bits)]
+
+
+def _capped_product(rows: list, n_max: int, bits: int) -> Optional[int]:
+    """prod_i R_i(q) packed in limbs of ``bits`` bits, or None if one overflows.
 
     Packed as a weight is, total s at limb n_max - s, so a part is a right
     shift and the totals past n_max fall off.  A row multiplies the product
     layer by layer: A_u, its fillings of the row's cells so far whose
     frequencies sum to u, takes A_u + (A_{u-1} >> p) at a cell of part p,
     for u = 1..cap_i in turn (A_{u-1} has taken the cell already, so it may
-    repeat), and the row ends with the sum of its layers.
-    Each limb keeps its top bit as a guard, checked after every addition:
-    the terms' limbs are each below half the limb, so their sum carries into
-    no other limb, and a set guard gives up before the next addition could.
+    repeat), and the row ends with the sum of its layers.  Each limb keeps its
+    top bit as a guard, checked after every addition: the terms' limbs are
+    each below half the limb, so their sum carries into no other limb, and a
+    set guard gives up before the next addition could.
     """
-    bits = 8 * size
-    guard = int.from_bytes((bytes(size - 1) + b"\x80") * (n_max + 1), "little")
+    guard = int(("1" + "0" * (bits - 1)) * (n_max + 1), 2)
     product = 1 << n_max * bits
     for parts, cap in rows:
         layers = [product] + [0] * cap
@@ -411,12 +406,7 @@ def count_family(wvs: Sequence[WeightVector], n_max: int) -> list[CountTable]:
                 for suffix, record in nodes.items()
             }
         totals = [done[suffix][0] for suffix in suffixes]
-    limb = (1 << bits) - 1
-    budgets = range(n_max - 1, -1, -1)  # of totals 1..n_max
-    return [
-        CountTable(n_max, tuple((total >> b * bits) & limb for b in budgets))
-        for total in totals
-    ]
+    return [CountTable(n_max, tuple(_limbs(t, n_max, bits)[1:])) for t in totals]
 
 
 def brute_force_count(wv: WeightVector, n_max: int) -> CountTable:

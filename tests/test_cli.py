@@ -14,8 +14,9 @@ from colorparts import __version__
 from colorparts import counting
 from colorparts.cache import CountCache
 from colorparts.cli import main
+from colorparts.congruence import PeriodicProduct
 from colorparts.lattice import WeightVector
-from colorparts.verify import verify_weight
+from colorparts.verify import conjectured_product, verify_weight
 import family_ledger
 
 # Every command in every format, plus usage errors and --version: argv, exit
@@ -202,6 +203,15 @@ class TestVerify:
         assert data["modulus"] == 5
         assert data["net_exponents"] == [0, 0, -1, -1, 0]
 
+    def test_an_odd_factor_of_an_odd_modulus_has_no_net_exponents(self):
+        # the odd-j factor is not constant on the classes mod 3
+        result = run(
+            "verify", "--even", "0,1", "-N", "10", "--spec", "odd; 1 mod 3",
+            "--format", "json",
+        )
+        assert result.exit_code == 1
+        assert '"net_exponents": null' in result.output
+
     def test_csv_report(self):
         result = run(
             "verify", "--even", "0,1", "-N", "3", "--auto", "--format", "csv"
@@ -263,6 +273,20 @@ class TestSweep:
         result = run("sweep", "-w", "402", "-k", "2", "-N", "5")
         assert result.exit_code == 2
         assert "too large to sweep" in result.output
+
+    def test_a_mismatch_names_its_first_n(self, monkeypatch):
+        # (1,0)^e's product has its modulus 5 changed to 7
+        def one_wrong(wv):
+            product = conjectured_product(wv)
+            if wv.even_sugar != (1, 0):
+                return product
+            return PeriodicProduct(7, product.residue_exponents + (0, 0))
+
+        monkeypatch.setattr("colorparts.verify.conjectured_product", one_wrong)
+        result = run("sweep", "-w", "2", "-k", "1", "-N", "20")
+        assert result.exit_code == 1
+        assert "(1,0)^e  mod 7  mismatch  (first mismatch at n = " in result.output
+        assert "1/2 verified" in result.output
 
     def test_jobs_flag(self):
         serial = run("sweep", "-w", "2", "-k", "2", "-N", "12")

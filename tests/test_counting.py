@@ -527,22 +527,33 @@ class TestLimbBits:
         assert max(max(table.counts) for table in tables).bit_length() <= bits
 
     def test_a_set_guard_widens_the_limbs(self, monkeypatch):
-        # the bound of (0,1)^e at N=100 needs 18 bits, past the 7 of a
-        # one-byte limb and the 15 of a two-byte one, each below its guard
-        # bit, so the product starts again twice
-        sizes = []
+        # the bound of (0,1)^e at N=100 needs 18 bits, past the 7 of an
+        # 8-bit limb and the 15 of a 16-bit one, each below its guard bit,
+        # so the product starts again twice
+        widths = []
 
-        def spy(rows, n_max, size):
-            product = capped_product(rows, n_max, size)
-            sizes.append((size, product is None))
+        def spy(rows, n_max, bits):
+            product = capped_product(rows, n_max, bits)
+            widths.append((bits, product is None))
             return product
 
         capped_product = counting._capped_product
         monkeypatch.setattr(counting, "_capped_product", spy)
         wv = WeightVector.from_even((0, 1))
         assert counting._limb_bits([wv], 100) == row_capped_bits([wv], 100) == 18
-        assert sizes == [(1, True), (2, True), (4, False)]
+        assert widths == [(8, True), (16, True), (32, False)]
         assert count_admissible(wv, 100).counts == replay_count(wv, 100)
+
+    @given(
+        bits=st.integers(1, 70).filter(lambda b: b % 8),
+        coeffs=st.lists(st.integers(min_value=0), min_size=1, max_size=40),
+    )
+    def test_limbs_read_back_what_was_packed(self, bits, coeffs):
+        # total s at limb n_max - s, at widths that no byte boundary aligns
+        coeffs = [c % (1 << bits) for c in coeffs]
+        n_max = len(coeffs) - 1
+        packed = sum(c << (n_max - s) * bits for s, c in enumerate(coeffs))
+        assert counting._limbs(packed, n_max, bits) == coeffs
 
 
 class TestMergedReplay:
@@ -715,18 +726,11 @@ class TestStateBudget:
     def test_the_budget_stops_a_cell_before_it_ends(self, monkeypatch):
         # the last free cell of row 2 of (60,60,60) takes 7,381 states to
         # 264,801, so a check only at cell ends would come after them
-        frontiers = []
-
-        def spy(items, grown, budget):
-            frontiers.append(grown)
-            return within(items, grown, budget)
-
-        within = counting._within
-        monkeypatch.setattr(counting, "_within", spy)
         monkeypatch.setattr(counting, "STATE_BUDGET", 10_000)
-        with pytest.raises(ValueError, match="more than 10,000 states"):
+        with pytest.raises(ValueError, match="more than 10,000 states") as excinfo:
             dimension((60, 60, 60))
-        assert 10_000 < len(frontiers[-1]) <= 10_000 + 181  # one state's moves
+        grown = excinfo.traceback[-1].locals["grown"]  # the frame that raised
+        assert 10_000 < len(grown) <= 10_000 + 181  # one state's moves
 
     def test_counts_take_no_budget(self, monkeypatch):
         monkeypatch.setattr(counting, "STATE_BUDGET", 1)

@@ -9,6 +9,16 @@ from pathlib import Path
 import pytest
 
 import colorparts
+from colorparts.congruence import (
+    PeriodicProduct,
+    PlusFactor,
+    even_width_product,
+    residue_class_text,
+)
+from colorparts.counting import CountTable, brute_force_count, dimension
+from colorparts.lattice import WeightVector, row_parts, row_template
+from colorparts.qseries import ExponentSequence, expand
+from colorparts.verify import sweep_weights, verify_weight
 
 
 def test_every_exported_name_exists():
@@ -134,3 +144,35 @@ def test_bare_import_loads_no_submodule():
         "print([m for m in sys.modules if m.startswith('colorparts.')])"
     )
     assert _fresh_interpreter(code) == "[]"
+
+
+WV, PRODUCT = WeightVector((0, 1)), PeriodicProduct(1, (0,))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CountTable(2, (1,)), "one count per"),
+        (lambda: brute_force_count(WV, 0), "n_max must be >= 1"),
+        (lambda: dimension((1, -1)), "must be nonnegative"),
+        (lambda: sweep_weights(0, 1), "width must be >= 2"),
+        (lambda: verify_weight(WV, 0), "n_max must be >= 1"),
+        (lambda: expand(PRODUCT, -1), "degree must be >= 0"),
+        (lambda: ExponentSequence((1,), None, None).class_multiplicities(0), "modulus"),
+        (lambda: row_parts(-1, 2), "row index >= 0"),
+        (lambda: row_template(-1, WV), "row index must be >= 0"),
+        (lambda: WeightVector.from_even((1,)), "at least"),
+        (lambda: PlusFactor(0, 0, 1), "modulus must be >= 1"),
+        (lambda: PRODUCT.effective_exponent(0), "index must be >= 1"),
+        (lambda: even_width_product((1, -1)), "must be nonnegative"),
+        (lambda: residue_class_text(3, (1,)), "one multiplicity per"),
+    ],
+    ids=[
+        "count-table", "brute-force", "dimension", "sweep-weights", "verify-weight",
+        "expand", "class-multiplicities", "row-parts", "row-template", "from-even",
+        "plus-factor", "effective-exponent", "even-width-product", "residue-class-text",
+    ],
+)
+def test_out_of_range_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -388,6 +388,7 @@ class TestCache:
             {"counts": ["x", 1, 1]},
             {"counts": [1, None, 1]},
             {"counts": [1.5, -3, True]},
+            {"counts": "1,1,1"},  # not a list
             {"algorithm": "frontier-1"},  # well formed, but of another version
             # nesting deeper than the JSON decoder's recursion limit
             pytest.param("[" * 100000, id="deep-nesting"),
@@ -404,6 +405,28 @@ class TestCache:
         assert cache.load(wv, 3) is None
         assert cached_counts([wv], 3, cache)[0].counts == (1, 1, 1)
         assert json.loads(entry.read_text())["counts"] == [1, 1, 1]
+
+    def test_store_is_quiet_when_no_temp_file_can_be_made(self, tmp_path, monkeypatch):
+        # a read-only directory does not stop root, so the refusal is patched in
+        def refuse(*args, **kwargs):
+            raise OSError("no space left")
+
+        monkeypatch.setattr("colorparts.cache.tempfile.mkstemp", refuse)
+        cache = CountCache(tmp_path)
+        cache.store(WeightVector((0, 1)), 3, CountTable(3, (1, 1, 1)))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_store_removes_its_temp_file_and_re_raises_an_interrupt(
+        self, tmp_path, monkeypatch
+    ):
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("colorparts.cache.os.replace", interrupted)
+        cache = CountCache(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            cache.store(WeightVector((0, 1)), 3, CountTable(3, (1, 1, 1)))
+        assert list(tmp_path.iterdir()) == []
 
     @settings(deadline=None)
     @given(
