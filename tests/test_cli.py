@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,45 +16,103 @@ from colorparts.cli import main
 from colorparts.congruence import PeriodicProduct
 from colorparts.lattice import WeightVector
 from colorparts.verify import conjectured_product, verify_weight
-import family_ledger
+import pins
 
-# Every command in every format, plus usage errors and --version: argv, exit
-# code and stdout, with the runtime fields normalised as bench/run.py does.
-GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text("utf-8"))
-RUNTIME_TEXT = re.compile(r"^runtime = [0-9.]+s$", re.MULTILINE)
-RUNTIME_JSON = re.compile(r'"runtime_seconds": [-+0-9.eE]+')
+# Every pin without limits, replayed in process; CI replays every pin, each
+# under its limits, through the installed CLI with `python tests/pins.py`.
+# The grid's families run under their own test name, so each keeps its id.
+PINS = pins.load()
+FAMILIES = {tuple(pins.sweep_argv(w, k, n)): f"w{w} k{k} N{n}" for w, k, n, _ in pins.grid()}
+INLINE = [entry for entry in PINS if "limits" not in entry]
 
 
 def run(*args, env=None):
     return CliRunner().invoke(main, list(args), env=env)
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
-def test_golden_matrix(case):
-    result = run(*case["argv"], env={"COLORPARTS_CACHE_DIR": None})
-    stdout = RUNTIME_TEXT.sub("runtime = _", result.stdout)
-    stdout = RUNTIME_JSON.sub('"runtime_seconds": _', stdout)
-    assert (result.exit_code, stdout) == (case["exit_code"], case["stdout"])
-
-
-# The families of the ledger with at most 100 weights, replayed in process;
-# CI replays the whole grid through the installed CLI.
-LEDGER = json.loads(family_ledger.LEDGER.read_text("utf-8"))
-REPLAYED = [entry for entry in LEDGER if entry[3] <= 100]
-
-
-def test_family_ledger_covers_the_grid():
-    assert [entry[:4] for entry in LEDGER] == family_ledger.grid()
+def replay_in_process(entry):
+    result = CliRunner().invoke(
+        main, entry["argv"], prog_name="colorparts", env={"COLORPARTS_CACHE_DIR": None}
+    )
+    got = pins.observed(entry, result.exit_code, result.stdout, result.stderr)
+    assert got == pins.expected(entry)
 
 
 @pytest.mark.parametrize(
-    "w,k,n_max,weights,digest", REPLAYED, ids=[f"w{w} k{k} N{n}" for w, k, n, *_ in REPLAYED]
+    "entry",
+    [entry for entry in INLINE if tuple(entry["argv"]) not in FAMILIES],
+    ids=lambda entry: " ".join(entry["argv"]),
 )
-def test_family_ledger(w, k, n_max, weights, digest):
-    result = run(*family_ledger.sweep_argv(w, k, n_max), env={"COLORPARTS_CACHE_DIR": None})
-    reports = json.loads(result.stdout)
-    assert [report["status"] for report in reports] == ["verified"] * weights
-    assert (result.exit_code, family_ledger.digest(result.stdout)) == (0, digest)
+def test_golden_matrix(entry):
+    replay_in_process(entry)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [entry for entry in INLINE if tuple(entry["argv"]) in FAMILIES],
+    ids=lambda entry: FAMILIES[tuple(entry["argv"])],
+)
+def test_family_ledger(entry):
+    replay_in_process(entry)
+
+
+def test_family_ledger_covers_the_grid():
+    assert set(FAMILIES) <= {tuple(entry["argv"]) for entry in INLINE if "sha256" in entry}
+
+
+def test_pins_follow_their_schema():
+    for entry in PINS:
+        assert set(entry) <= {"argv", "exit_code", "limits", *pins.PINNED}
+        assert ("stdout" in entry) != ("sha256" in entry)
+        assert type(entry["exit_code"]) is int
+        assert set(entry.get("limits", {})) <= {"address_space_mib", "seconds"}
+    argvs = [tuple(entry["argv"]) for entry in PINS]
+    assert len(set(argvs)) == len(argvs)
+
+
+# the console script, as far as the replay can tell, without an install
+SCRIPT = [sys.executable, "-c", "from colorparts.cli import main; main(prog_name='colorparts')"]
+GOOD = [
+    {"argv": ["dim", "2,2"], "exit_code": 0, "stdout": "dimension [2, 2] = 81\n"},
+    {"argv": ["count", "--even", "0,1", "-N", "12", "--format", "json"], "exit_code": 0,
+     "sha256": "cec6ec5860d273e7acf70e8cc71fbfe5b550f3f04a970ed305e9b26c674ad2e2"},
+    {"argv": ["dim", "0,0"], "exit_code": 2, "limits": {"address_space_mib": 1024, "seconds": 60},
+     "stdout": "", "stderr": "Error: at least one weight must be positive"},
+]
+
+
+@pytest.fixture
+def replay_file(tmp_path, monkeypatch, capsys):
+    """Replay a pin file of ``entries`` through ``SCRIPT``: (exit code, stdout)."""
+    monkeypatch.setenv("PYTHONPATH", str(Path(colorparts.__file__).parents[1]))
+
+    def replay(entries):
+        path = tmp_path / "pins.json"
+        path.write_text(json.dumps(entries), "utf-8")
+        return pins.replay(path, SCRIPT), capsys.readouterr().out
+
+    return replay
+
+
+def test_the_replay_passes_correct_pins(replay_file):
+    assert replay_file(GOOD) == (0, "".join(
+        f"ok: {' '.join(entry['argv'])}\n" for entry in GOOD
+    ))
+
+
+@pytest.mark.parametrize(
+    "index, change, verdict",
+    [
+        (1, {"sha256": "0" * 64}, "MISMATCH (sha256)"),
+        (0, {"exit_code": 1}, "MISMATCH (exit_code)"),
+        (2, {"stderr": "the budget"}, "MISMATCH (stderr)"),
+        (0, {"argv": ["dim", "2,2,2,2,2,2"], "limits": {"seconds": 0.05}}, "TIMEOUT"),
+    ],
+    ids=["digest", "exit-code", "stderr", "timeout"],
+)
+def test_the_replay_fails_a_wrong_pin(replay_file, index, change, verdict):
+    entry = GOOD[index] | change
+    assert replay_file([entry]) == (1, f"{verdict}: {' '.join(entry['argv'])}\n")
 
 
 @pytest.mark.parametrize("command", ["count", "verify", "fit"])
@@ -428,6 +485,6 @@ class TestCacheWiring:
             for _ in range(2)
         )
         assert cold.returncode == warm.returncode == 0
-        assert RUNTIME_JSON.sub("_", warm.stdout) == RUNTIME_JSON.sub("_", cold.stdout)
+        assert pins.RUNTIME_JSON.sub("_", warm.stdout) == pins.RUNTIME_JSON.sub("_", cold.stdout)
         # a forked worker that returned into main would print the list twice
         assert cold.stderr == warm.stderr == "[]\n"

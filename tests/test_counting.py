@@ -1,4 +1,3 @@
-import hashlib
 import time
 import tracemalloc
 from itertools import product as iproduct
@@ -19,7 +18,7 @@ from colorparts.counting import (
 )
 from colorparts.lattice import WeightVector, row_parts, row_template
 from colorparts.qseries import expand
-from colorparts.verify import sweep_weights, verify_weight
+from colorparts.verify import sweep_weights
 from known_identities import sp_weyl_dimension
 from replay import (
     initial_maxima,
@@ -573,64 +572,6 @@ class TestMergedReplay:
         wvs = _family(width, k_total)
         tables = count_family(wvs, n_max)
         assert [table.counts for table in tables] == [replay_count(wv, n_max) for wv in wvs]
-
-
-class TestDeepTables:
-    # beyond the oracle's reach: the product side shares no code with the
-    # kernel, and the digests pin tables counted before keys dropped m_w
-
-    @pytest.mark.parametrize(
-        "wv,n_max",
-        [
-            (WeightVector.from_even((2, 1, 0, 0, 1)), 100),
-            (WeightVector.from_odd((2, 0, 0, 1)), 200),  # its product is mod 14
-        ],
-        ids=["even-2,1,0,0,1-N100", "odd-2,0,0,1-N200"],
-    )
-    def test_deep_weight_matches_its_product(self, wv, n_max):
-        report = verify_weight(wv, n_max)
-        assert report.status == "verified"
-        assert report.first_mismatch is None
-
-    # SHA-256 of P(1), ..., P(N) as ASCII decimals joined by ","
-    @pytest.mark.parametrize(
-        "wv,n_max,digest",
-        [
-            (
-                WeightVector.from_even((2, 1, 0, 0, 1)),
-                200,
-                "5c4a2b724a74186b89f7fb30de9004bcf5c8a5b270afd5e0be253cba86bd63d4",
-            ),
-            (
-                WeightVector.from_even((3, 1, 0, 0, 1)),
-                100,
-                "d8a91e64a6f3a8bf1423d7d725669734b94cea818074eeaaa991ab0c518cf476",
-            ),
-            (
-                WeightVector((2, 1, 1, 1, 0, 0, 0, 0, 0, 0)),
-                24,
-                "e44077aa5caee8b35fb33b63af569eb0d03834347b34f60ba09476a1bb2a8a96",
-            ),
-            (
-                WeightVector.from_odd((2, 0, 0, 1)),
-                200,
-                "04ad01ce510e052db69b25e12cb4167b6324f4e358918483b5ef7731bbbf064a",
-            ),
-            (  # long and narrow: its states retire over ~1,500 root rows
-                WeightVector.from_even((0, 1)),
-                3000,
-                "269ee8931a330d67167680c0b23a2726f6ee4538853da29be188aa6ef7601911",
-            ),
-        ],
-        ids=[
-            "even-2,1,0,0,1-N200", "even-3,1,0,0,1-N100", "bracket-2,1,1,1-N24",
-            "odd-2,0,0,1-N200", "even-0,1-N3000",
-        ],
-    )
-    def test_deep_tables_match_their_digests(self, wv, n_max, digest):
-        counts = count_admissible(wv, n_max).counts
-        encoded = ",".join(map(str, counts)).encode("ascii")
-        assert hashlib.sha256(encoded).hexdigest() == digest
 
 
 class TestReversal:

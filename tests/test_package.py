@@ -113,8 +113,10 @@ def _fresh_interpreter(code: str) -> str:
         (["count", "--even", "0,1", "-N", "20"], CONSOLE_SCRIPT,
          ("colorparts.verify", "colorparts.congruence", "colorparts.qseries", "json")),
         # an entry is named by its key, so no cached command loads hashlib:
-        # a cold sweep stores the family that a warm verify and fit read
+        # a cold sweep stores the family that a warm sweep, verify and fit read
         (["sweep", "-w", "4", "-k", "2", "-N", "20", "--cache-dir", "COLD"],
+         CONSOLE_SCRIPT, HASHLIB),
+        (["sweep", "-w", "4", "-k", "2", "-N", "20", "--cache-dir", "WARM"],
          CONSOLE_SCRIPT, HASHLIB),
         (["verify", "--even", "1,0,1", "-N", "20", "--auto", "--cache-dir", "WARM"],
          CONSOLE_SCRIPT, HASHLIB),
@@ -122,7 +124,7 @@ def _fresh_interpreter(code: str) -> str:
          CONSOLE_SCRIPT, HASHLIB),
     ],
     ids=["dim-runpy", "dim-script", "verify-uncached", "count-uncached",
-         "sweep-cold-cache", "verify-warm-cache", "fit-warm-cache"],
+         "sweep-cold-cache", "sweep-warm-cache", "verify-warm-cache", "fit-warm-cache"],
 )
 def test_a_command_imports_only_what_it_runs(argv, entry, unloaded, tmp_path, warm_cache):
     argv = [str({"COLD": tmp_path, "WARM": warm_cache}.get(arg, arg)) for arg in argv]
