@@ -172,8 +172,7 @@ def verify(ctx, odd, even, bracket, n_max, auto, spec_text, fmt, cache_dir):
     wv = _weight_vector(odd, even, bracket)
     if auto == (spec_text is not None):
         raise click.UsageError("pass exactly one of --auto or --spec")
-    product = None
-    source = "conjecture"
+    product = source = None
     if spec_text is not None:
         try:
             product = parse_residue_spec(spec_text)

@@ -104,7 +104,7 @@ def _sweep_row(
     i: int,
     level: int,
     template: Sequence[Optional[int]],
-    moves: Optional[dict] = None,
+    moves: dict,
     bits: int = 0,
     record: Optional[list] = None,
     budget: Optional[int] = None,
@@ -141,7 +141,6 @@ def _sweep_row(
     ``ValueError`` after that state: a cell can multiply it by up to the level.
     """
     radix = level + 1
-    moves = {} if moves is None else moves
     entries = [k or 0 for k in template]  # 0 at free cells
     caps = [level - sum(entries[t:]) for t in range(1, len(entries) + 1)]
     frontier = states

@@ -1,4 +1,4 @@
-"""The pinned CLI outputs: one file, replayed by one runner.
+"""The pinned CLI outputs: one file, replayed once by the tier-1 tests.
 
 ``pins.json`` holds every CLI output this repository pins: the golden
 matrix (every command in every format, the usage errors and ``--version``),
@@ -15,12 +15,12 @@ entry is ``{"argv", "exit_code", "stdout" | "sha256", "limits"?,
   ``seconds`` (its timeout), either of them optional;
 - ``stderr`` is a substring that stderr must contain.
 
-    python tests/pins.py          # replay every entry through `colorparts`
-    python tests/pins.py --write  # re-derive every entry the same way
+``tests/test_cli.py`` replays the entries without limits in process and
+those with limits through :func:`run`, each in a child under its limits.
 
-The replay runs each entry with no cache, prints one line per entry and
-exits 1 on any mismatch, timeout or limit. The tier-1 tests replay every
-entry without limits in process.
+    PYTHONPATH=src python tests/pins.py --write
+
+re-derives every entry through :func:`run` and rewrites ``pins.json``.
 """
 
 from __future__ import annotations
@@ -33,14 +33,17 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
+import colorparts
 from colorparts.cli import CACHE_ENV_VAR
 from colorparts.lattice import WeightVector
 from colorparts.verify import conjectured_product, sweep_weights
 
 PINS = Path(__file__).with_name("pins.json")
-CONSOLE = ("colorparts",)
+# the console script `colorparts`, run from the package this module imports
+SCRIPT = (sys.executable, "-c", "from colorparts.cli import main; main(prog_name='colorparts')")
+SRC = str(Path(colorparts.__file__).parents[1])
 PINNED = ("exit_code", "stdout", "sha256", "stderr")
 RUNTIME_TEXT = re.compile(r"^runtime = [0-9.]+s$", re.MULTILINE)
 RUNTIME_JSON = re.compile(r'"runtime_seconds": [-+0-9.eE]+')
@@ -66,8 +69,8 @@ def sweep_argv(w: int, k: int, n_max: int) -> list[str]:
     return ["sweep", "-w", str(w), "-k", str(k), "-N", str(n_max), "--format", "json"]
 
 
-def load(path: Path = PINS) -> list[dict]:
-    return json.loads(path.read_text("utf-8"))
+def load() -> list[dict]:
+    return json.loads(PINS.read_text("utf-8"))
 
 
 def expected(entry: dict) -> dict:
@@ -89,10 +92,12 @@ def observed(entry: dict, exit_code: int, stdout: str, stderr: str) -> dict:
     return got
 
 
-def run(entry: dict, prefix: Sequence[str]) -> Optional[dict]:
-    """Run one entry under its limits with no cache; None if it timed out."""
+def run(entry: dict) -> Optional[dict]:
+    """Run one entry through ``SCRIPT`` under its limits with no cache; None
+    if it timed out."""
     limits = entry.get("limits", {})
     env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
+    env["PYTHONPATH"] = SRC
 
     def limit_address_space() -> None:  # in the child, before it runs
         if "address_space_mib" in limits:
@@ -101,7 +106,7 @@ def run(entry: dict, prefix: Sequence[str]) -> Optional[dict]:
 
     try:
         out = subprocess.run(
-            [*prefix, *entry["argv"]], capture_output=True, text=True, env=env,
+            [*SCRIPT, *entry["argv"]], capture_output=True, text=True, env=env,
             timeout=limits.get("seconds"), preexec_fn=limit_address_space,
         )
     except subprocess.TimeoutExpired:
@@ -109,23 +114,11 @@ def run(entry: dict, prefix: Sequence[str]) -> Optional[dict]:
     return observed(entry, out.returncode, out.stdout, out.stderr)
 
 
-def replay(path: Path = PINS, prefix: Sequence[str] = CONSOLE) -> int:
-    """Replay every entry of ``path`` through ``prefix``; 1 if any fails."""
-    failed = 0
-    for entry in load(path):
-        got, want = run(entry, prefix), expected(entry)
-        wrong = ", ".join(key for key in want if got and got[key] != want[key])
-        verdict = "TIMEOUT" if got is None else f"MISMATCH ({wrong})" if wrong else "ok"
-        print(f"{verdict}: {' '.join(entry['argv'])}", flush=True)
-        failed += verdict != "ok"
-    return 1 if failed else 0
-
-
 def write() -> int:
-    """Re-derive every entry of ``pins.json`` from runs through ``colorparts``."""
+    """Re-derive every entry of ``pins.json`` from runs through ``SCRIPT``."""
     entries = []
     for entry in load():
-        got = run(entry, CONSOLE)
+        got = run(entry)
         if got is None:
             raise RuntimeError(f"{' '.join(entry['argv'])} timed out")
         entries.append(entry | got)
@@ -135,7 +128,9 @@ def write() -> int:
 
 
 def main(argv: list[str]) -> int:
-    return write() if argv == ["--write"] else replay()
+    if argv != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/pins.py --write")
+    return write()
 
 
 if __name__ == "__main__":

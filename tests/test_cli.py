@@ -18,12 +18,15 @@ from colorparts.lattice import WeightVector
 from colorparts.verify import conjectured_product, verify_weight
 import pins
 
-# Every pin without limits, replayed in process; CI replays every pin, each
-# under its limits, through the installed CLI with `python tests/pins.py`.
+# Every pin is replayed once: those without limits in process, the two with
+# limits (the `dim` state budget's two sides) in a child under those limits.
 # The grid's families run under their own test name, so each keeps its id.
 PINS = pins.load()
 FAMILIES = {tuple(pins.sweep_argv(w, k, n)): f"w{w} k{k} N{n}" for w, k, n, _ in pins.grid()}
 INLINE = [entry for entry in PINS if "limits" not in entry]
+GOLDEN = [entry for entry in INLINE if tuple(entry["argv"]) not in FAMILIES]
+LEDGER = [entry for entry in INLINE if tuple(entry["argv"]) in FAMILIES]
+LIMITED = [entry for entry in PINS if "limits" in entry]
 
 
 def run(*args, env=None):
@@ -38,22 +41,19 @@ def replay_in_process(entry):
     assert got == pins.expected(entry)
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [entry for entry in INLINE if tuple(entry["argv"]) not in FAMILIES],
-    ids=lambda entry: " ".join(entry["argv"]),
-)
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda entry: " ".join(entry["argv"]))
 def test_golden_matrix(entry):
     replay_in_process(entry)
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [entry for entry in INLINE if tuple(entry["argv"]) in FAMILIES],
-    ids=lambda entry: FAMILIES[tuple(entry["argv"])],
-)
+@pytest.mark.parametrize("entry", LEDGER, ids=lambda entry: FAMILIES[tuple(entry["argv"])])
 def test_family_ledger(entry):
     replay_in_process(entry)
+
+
+@pytest.mark.parametrize("entry", LIMITED, ids=lambda entry: " ".join(entry["argv"]))
+def test_pin_under_its_limits(entry):
+    assert pins.run(entry) == pins.expected(entry)
 
 
 def test_family_ledger_covers_the_grid():
@@ -68,10 +68,11 @@ def test_pins_follow_their_schema():
         assert set(entry.get("limits", {})) <= {"address_space_mib", "seconds"}
     argvs = [tuple(entry["argv"]) for entry in PINS]
     assert len(set(argvs)) == len(argvs)
+    # the three replays above split the file: each entry runs exactly once
+    replayed = [tuple(entry["argv"]) for entry in GOLDEN + LEDGER + LIMITED]
+    assert sorted(replayed) == sorted(argvs)
 
 
-# the console script, as far as the replay can tell, without an install
-SCRIPT = [sys.executable, "-c", "from colorparts.cli import main; main(prog_name='colorparts')"]
 GOOD = [
     {"argv": ["dim", "2,2"], "exit_code": 0, "stdout": "dimension [2, 2] = 81\n"},
     {"argv": ["count", "--even", "0,1", "-N", "12", "--format", "json"], "exit_code": 0,
@@ -81,38 +82,28 @@ GOOD = [
 ]
 
 
-@pytest.fixture
-def replay_file(tmp_path, monkeypatch, capsys):
-    """Replay a pin file of ``entries`` through ``SCRIPT``: (exit code, stdout)."""
-    monkeypatch.setenv("PYTHONPATH", str(Path(colorparts.__file__).parents[1]))
-
-    def replay(entries):
-        path = tmp_path / "pins.json"
-        path.write_text(json.dumps(entries), "utf-8")
-        return pins.replay(path, SCRIPT), capsys.readouterr().out
-
-    return replay
-
-
-def test_the_replay_passes_correct_pins(replay_file):
-    assert replay_file(GOOD) == (0, "".join(
-        f"ok: {' '.join(entry['argv'])}\n" for entry in GOOD
-    ))
+def test_the_replay_passes_correct_pins():
+    for entry in GOOD:
+        assert pins.run(entry) == pins.expected(entry)
 
 
 @pytest.mark.parametrize(
-    "index, change, verdict",
+    "index, change, wrong",
     [
-        (1, {"sha256": "0" * 64}, "MISMATCH (sha256)"),
-        (0, {"exit_code": 1}, "MISMATCH (exit_code)"),
-        (2, {"stderr": "the budget"}, "MISMATCH (stderr)"),
-        (0, {"argv": ["dim", "2,2,2,2,2,2"], "limits": {"seconds": 0.05}}, "TIMEOUT"),
+        (1, {"sha256": "0" * 64}, {"sha256"}),
+        (0, {"exit_code": 1}, {"exit_code"}),
+        (2, {"stderr": "the budget"}, {"stderr"}),
+        (0, {"argv": ["dim", "2,2,2,2,2,2"], "limits": {"seconds": 0.05}}, None),
     ],
     ids=["digest", "exit-code", "stderr", "timeout"],
 )
-def test_the_replay_fails_a_wrong_pin(replay_file, index, change, verdict):
+def test_the_replay_fails_a_wrong_pin(index, change, wrong):
     entry = GOOD[index] | change
-    assert replay_file([entry]) == (1, f"{verdict}: {' '.join(entry['argv'])}\n")
+    got = pins.run(entry)
+    if wrong is None:  # timed out
+        assert got is None
+    else:
+        assert {key for key, pin in pins.expected(entry).items() if got[key] != pin} == wrong
 
 
 @pytest.mark.parametrize("command", ["count", "verify", "fit"])

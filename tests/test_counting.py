@@ -141,7 +141,7 @@ class TestKernelLayout:
         if bracket in ((0, 1), (0, 0, 1, 0, 2)):  # k_1 = 0: the level is kept
             assert kept[-1] == wv.k_total
         key = sum(m * radix**t for t, m in enumerate(kept, 1))
-        assert _sweep_row({0: 1}, 0, wv.k_total, row_template(0, wv)) == {key: 1}
+        assert _sweep_row({0: 1}, 0, wv.k_total, row_template(0, wv), {}) == {key: 1}
 
     @settings(deadline=None)
     @given(wv=small_brackets())
@@ -151,7 +151,7 @@ class TestKernelLayout:
         radix, w = wv.k_total + 1, wv.width
         states = {0: 1}
         for i in range(4):
-            states = _sweep_row(states, i, wv.k_total, row_template(i, wv))
+            states = _sweep_row(states, i, wv.k_total, row_template(i, wv), {})
             assert all(0 <= key < radix**w and key % radix == 0 for key in states)
 
     def test_states_that_differ_only_in_the_last_maximum_merge(self, monkeypatch):
@@ -182,8 +182,8 @@ class TestKernelLayout:
         wv, last = WeightVector.from_odd((0,) + ks), len(ks)
         level, states = wv.k_total, {0: 1}
         for i in range(last):
-            states = _sweep_row(states, i, level, row_template(i, wv))
-        final = _sweep_row(states, last, level, row_template(last, wv))
+            states = _sweep_row(states, i, level, row_template(i, wv), {})
+        final = _sweep_row(states, last, level, row_template(last, wv), {})
         assert _last_row_total(states, level, 2 * last - 1) == sum(final.values())
 
 
@@ -191,7 +191,7 @@ class TestLastRowTotal:
     # each total is also the sum of the row swept by _sweep_row over free cells
     @staticmethod
     def swept_total(states, free):
-        return sum(_sweep_row(states, 2, 3, (None,) * free).values())
+        return sum(_sweep_row(states, 2, 3, (None,) * free, {}).values())
 
     # level 3, prev_1 = 1 and prev_2 = p in slots 1 and 2 (slot 0, the floor,
     # is 0): m_2's floors start at b = 1, the group's lowest floor, and meet
@@ -283,7 +283,7 @@ class TestPrefixCaps:
                 plain[key] = plain.get(key, 0) + 1
                 if total <= n_max:
                     packed[key] = packed.get(key, 0) + (1 << (n_max - total) * bits)
-            states = _sweep_row(states, i, wv.k_total, row_template(i, wv))
+            states = _sweep_row(states, i, wv.k_total, row_template(i, wv), {})
             assert out == packed and states == plain
 
     @settings(deadline=None)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 
 import colorparts
@@ -32,6 +33,16 @@ def test_every_exported_name_exists():
     namespace = {}
     exec("from colorparts import *", namespace)
     assert set(colorparts.__all__) <= namespace.keys()
+
+
+def test_the_console_script_is_the_click_group():
+    # pyproject.toml read as text: tomllib is new in Python 3.11
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text("utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.M | re.S)[1]
+    entry = re.search(r'^colorparts = "(.*)"$', scripts, re.M)[1]
+    assert entry == "colorparts.cli:main"
+    module, _, name = entry.partition(":")
+    assert isinstance(getattr(importlib.import_module(module), name), click.Group)
 
 
 def test_readme_library_snippet_runs_as_commented():
