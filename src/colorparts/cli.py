@@ -166,20 +166,16 @@ def count(odd, even, bracket, n_max, fmt, cache_dir):
 @click.pass_context
 def verify(ctx, odd, even, bracket, n_max, auto, spec_text, fmt, cache_dir):
     """Compare counts against a product; exit 0 iff verified."""
-    from .congruence import ResidueSpecError, parse_residue_spec
+    from .congruence import parse_residue_spec
     from .verify import STATUS_VERIFIED, verify_weight
 
     wv = _weight_vector(odd, even, bracket)
     if auto == (spec_text is not None):
         raise click.UsageError("pass exactly one of --auto or --spec")
     product = source = None
-    if spec_text is not None:
-        try:
-            product = parse_residue_spec(spec_text)
-        except ResidueSpecError as exc:
-            raise click.UsageError(str(exc))
-        source = f"spec: {spec_text}"
-    try:
+    try:  # a bad spec is reported before a bad cache directory
+        if spec_text is not None:
+            product, source = parse_residue_spec(spec_text), f"spec: {spec_text}"
         report = verify_weight(
             wv, n_max, product=product, product_source=source, cache=_cache(cache_dir)
         )

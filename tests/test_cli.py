@@ -1,16 +1,11 @@
 import dataclasses
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-import colorparts
 from colorparts import __version__
-from colorparts import counting
 from colorparts.cache import CountCache
 from colorparts.cli import main
 from colorparts.congruence import PeriodicProduct
@@ -286,16 +281,6 @@ class TestFit:
         assert data["classes"] == "1,4 mod 5"
 
 
-class TestDim:
-    def test_past_the_state_budget_is_a_usage_error(self, monkeypatch):
-        monkeypatch.setattr(counting, "STATE_BUDGET", 1000)
-        result = run("dim", "2,2,2,2,2")
-        assert result.exit_code == 2
-        assert result.output.endswith(
-            "Error: more than 1,000 states in one frontier (the budget)\n"
-        )
-
-
 class TestCacheWiring:
     def test_cache_dir_flag_is_transparent(self, tmp_path):
         cold = run("count", "--even", "1,1", "-N", "12", "--cache-dir", str(tmp_path))
@@ -340,29 +325,3 @@ class TestCacheWiring:
         bare = run("count", "--bracket", "0,1", "-N", "12")
         assert (cached.exit_code, cached.stdout) == (0, bare.stdout)
         assert [entry.is_dir() for entry in tmp_path.iterdir()] == [True]
-
-    def test_warm_sweep_runs_in_process(self, tmp_path):
-        # the warm run prints what the cold run printed, and neither loads a pool
-        code = (
-            "import sys\n"
-            "from colorparts.cli import main\n"
-            "try:\n"
-            "    main(sys.argv[1:], prog_name='colorparts')\n"
-            "finally:\n"
-            "    pool = ('concurrent.futures.process', 'multiprocessing')\n"
-            "    print([m for m in pool if m in sys.modules], file=sys.stderr)\n"
-        )
-        argv = ["sweep", "-w", "4", "-k", "2", "-N", "15", "--jobs", "2",
-                "--format", "json", "--cache-dir", str(tmp_path)]
-        env = {k: v for k, v in os.environ.items() if k != "COLORPARTS_CACHE_DIR"}
-        cold, warm = (
-            subprocess.run(
-                [sys.executable, "-c", code, *argv], cwd=Path(colorparts.__file__).parents[1],
-                env=env, capture_output=True, text=True,
-            )
-            for _ in range(2)
-        )
-        assert cold.returncode == warm.returncode == 0
-        assert pins.RUNTIME_JSON.sub("_", warm.stdout) == pins.RUNTIME_JSON.sub("_", cold.stdout)
-        # a forked worker that returned into main would print the list twice
-        assert cold.stderr == warm.stderr == "[]\n"

@@ -58,21 +58,6 @@ def test_readme_library_snippet_runs_as_commented():
     assert series[1:] == table.counts
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    # no command needs a process pool, pickle or hashlib, and only csv
-    # output needs csv
-    src = Path(colorparts.__file__).parents[1]
-    code = (
-        "import sys, colorparts.cli; "
-        "print([m for m in ('concurrent.futures.process', 'multiprocessing', "
-        "'pickle', 'hashlib', 'csv') if m in sys.modules])"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
-    )
-    assert out.stdout == "[]\n"
-
-
 PRODUCT_SIDE = (
     "colorparts.verify",
     "colorparts.cache",
@@ -83,6 +68,8 @@ PRODUCT_SIDE = (
 RUN_MODULE = "runpy.run_module('colorparts.cli', run_name='__main__')"  # python -m
 CONSOLE_SCRIPT = "from colorparts.cli import main; main()"
 HASHLIB = ("hashlib", "_hashlib")
+# no command needs a process pool or pickle, and only csv output needs csv
+NEVER_LOADED = ("concurrent.futures.process", "multiprocessing", "pickle", "csv")
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +133,7 @@ def test_a_command_imports_only_what_it_runs(argv, entry, unloaded, tmp_path, wa
         f"    {entry}\n"
         "except SystemExit as exc:\n"
         "    assert not exc.code, exc.code\n"
-        f"print([m for m in {unloaded!r} if m in sys.modules])\n"
+        f"print([m for m in {unloaded + NEVER_LOADED!r} if m in sys.modules])\n"
     )
     assert _fresh_interpreter(code) == "[]"
 
